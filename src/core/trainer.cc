@@ -124,6 +124,16 @@ StatusOr<std::unique_ptr<SyncTrainer>> SyncTrainer::Restore(
   LPSGD_ASSIGN_OR_RETURN(std::unique_ptr<SyncTrainer> trainer,
                          Create(factory, options));
   LPSGD_RETURN_IF_ERROR(trainer->ApplyState(state));
+  // Restore-only: a new process also resumes the checkpointed virtual
+  // clock and the mid-epoch position. The trainer is fresh from Create,
+  // so it has no recovery bookkeeping to reset.
+  trainer->virtual_seconds_ = state.virtual_seconds;
+  trainer->pending_resume_ =
+      state.epoch_batch_cursor > 0 || state.epoch_samples > 0;
+  trainer->resume_cursor_ = state.epoch_batch_cursor;
+  trainer->resume_loss_sum_ = state.epoch_loss_sum;
+  trainer->resume_correct_ = state.epoch_correct;
+  trainer->resume_samples_ = state.epoch_samples;
   if (obs::ReportEnabled() && state.rank_count != options.num_gpus) {
     obs::JsonValue fields = obs::JsonValue::Object();
     fields.Set("from_ranks", static_cast<int64_t>(state.rank_count));
@@ -201,41 +211,6 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
   }
 
   slot_phases_.resize(static_cast<size_t>(options_.execution.threads()));
-}
-
-Status SyncTrainer::SaveCheckpoint(std::ostream& os) {
-  LPSGD_RETURN_IF_ERROR(replicas_[0].SaveParams(os));
-  // SaveParams checks its own writes, but a buffered sink can defer the
-  // actual I/O failure (full disk, closed pipe) until the flush.
-  os.flush();
-  if (os.fail() || os.bad()) {
-    return InternalError("checkpoint stream write failed at flush");
-  }
-  return OkStatus();
-}
-
-Status SyncTrainer::LoadCheckpoint(std::istream& is) {
-  LPSGD_RETURN_IF_ERROR(replicas_[0].LoadParams(is));
-  if (is.bad()) {
-    return DataLossError("checkpoint stream read failed");
-  }
-  for (size_t r = 1; r < replicas_.size(); ++r) {
-    replicas_[r].CopyParamsFrom(replicas_[0]);
-  }
-  // Restart the stateful parts: fresh momentum and residuals. The
-  // recovery snapshot describes pre-load state, so drop it too.
-  optimizers_.clear();
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    optimizers_.emplace_back(options_.learning_rate, options_.momentum);
-  }
-  for (auto& rank_errors : errors_) {
-    for (auto& residual : rank_errors) {
-      std::fill(residual.begin(), residual.end(), 0.0f);
-    }
-  }
-  recovery_.valid = false;
-  replay_.clear();
-  return OkStatus();
 }
 
 ckpt::TrainerState SyncTrainer::CaptureState() const {
@@ -418,17 +393,6 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
       aggregator_->ImportExchangeState(state.aggregator_state));
   iteration_ = state.iteration;
   epochs_completed_ = state.epochs_completed;
-  virtual_seconds_ = state.virtual_seconds;
-  pending_resume_ =
-      state.epoch_batch_cursor > 0 || state.epoch_samples > 0;
-  resume_cursor_ = state.epoch_batch_cursor;
-  resume_loss_sum_ = state.epoch_loss_sum;
-  resume_correct_ = state.epoch_correct;
-  resume_samples_ = state.epoch_samples;
-  recovery_.valid = false;
-  replay_.clear();
-  steps_since_snapshot_ = 0;
-  recoveries_used_ = 0;
   return OkStatus();
 }
 
@@ -662,9 +626,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
         ++cursor;
       }
     }
-    // The snapshot holds epoch-local accumulators, so it cannot outlive
-    // the epoch that took it.
-    recovery_.valid = false;
+    recovery_.reset();
     replay_.clear();
     steps_since_snapshot_ = 0;
     const int checkpoint_every = options_.fault_tolerance.checkpoint_every;
@@ -674,8 +636,11 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
       if (batch.size() < live_gpus_) continue;  // skip tiny remainder
       TrimBatch(&batch);  // shards stay equal across live ranks
       if (checkpoint_every > 0 &&
-          (!recovery_.valid || steps_since_snapshot_ >= checkpoint_every)) {
-        TakeRecoverySnapshot(loss_sum, correct, samples);
+          (!recovery_ || steps_since_snapshot_ >= checkpoint_every)) {
+        // Free the old snapshot first so two full states never coexist.
+        // The batch just fetched is not trained yet, hence cursor - 1.
+        recovery_.reset();
+        recovery_ = CaptureStateAt(loss_sum, correct, samples, cursor - 1);
         replay_.clear();
         steps_since_snapshot_ = 0;
       }
@@ -742,40 +707,6 @@ void SyncTrainer::TrimBatch(Batch* batch) const {
   batch->inputs = std::move(trimmed);
 }
 
-void SyncTrainer::TakeRecoverySnapshot(double loss_sum, int64_t correct,
-                                       int64_t samples) {
-  recovery_.valid = true;
-  recovery_.iteration = iteration_;
-  recovery_.loss_sum = loss_sum;
-  recovery_.correct = correct;
-  recovery_.samples = samples;
-  recovery_.params.clear();
-  for (const ParamRef& param : replica_params_[0]) {
-    recovery_.params.push_back(*param.value);
-  }
-  recovery_.velocity = optimizers_[0].velocity();
-  recovery_.errors = errors_;
-}
-
-void SyncTrainer::RestoreRecoverySnapshot(double* loss_sum, int64_t* correct,
-                                          int64_t* samples) {
-  CHECK(recovery_.valid);
-  iteration_ = recovery_.iteration;
-  *loss_sum = recovery_.loss_sum;
-  *correct = recovery_.correct;
-  *samples = recovery_.samples;
-  CHECK_EQ(recovery_.params.size(), replica_params_[0].size());
-  for (size_t r = 0; r < replica_params_.size(); ++r) {
-    for (size_t m = 0; m < recovery_.params.size(); ++m) {
-      *replica_params_[r][m].value = recovery_.params[m];
-    }
-  }
-  for (auto& optimizer : optimizers_) {
-    optimizer.set_velocity(recovery_.velocity);
-  }
-  errors_ = recovery_.errors;
-}
-
 Status SyncTrainer::DropRank(int rank) {
   if (rank < 0 || rank >= live_gpus_) {
     return InternalError(
@@ -786,10 +717,6 @@ Status SyncTrainer::DropRank(int rank) {
   replicas_.erase(replicas_.begin() + static_cast<std::ptrdiff_t>(r));
   optimizers_.erase(optimizers_.begin() + static_cast<std::ptrdiff_t>(r));
   errors_.erase(errors_.begin() + static_cast<std::ptrdiff_t>(r));
-  if (recovery_.valid && r < recovery_.errors.size()) {
-    recovery_.errors.erase(recovery_.errors.begin() +
-                           static_cast<std::ptrdiff_t>(r));
-  }
   --live_gpus_;
   replica_params_.clear();
   for (Network& replica : replicas_) {
@@ -798,6 +725,10 @@ Status SyncTrainer::DropRank(int rank) {
 
   // The survivors need a fresh aggregator sized to the new rank count; the
   // satisfied crash is stripped so the rebuilt injector does not re-abort.
+  // The failed exchange already rolled its own state back, and the owner
+  // residuals are per matrix, so they move to the rebuilt aggregator as is.
+  std::vector<std::vector<float>> exchange_state;
+  aggregator_->ExportExchangeState(&exchange_state);
   active_plan_ = active_plan_.WithoutCrashes();
   LPSGD_ASSIGN_OR_RETURN(
       aggregator_,
@@ -806,6 +737,7 @@ Status SyncTrainer::DropRank(int rank) {
                        options_.fault_tolerance.retry,
                        fault::MakeAggregatorDecorator(active_plan_,
                                                       options_.codec)));
+  LPSGD_RETURN_IF_ERROR(aggregator_->ImportExchangeState(exchange_state));
   if (obs::ReportEnabled()) {
     obs::JsonValue fields = obs::JsonValue::Object();
     fields.Set("rank", rank);
@@ -834,18 +766,24 @@ Status SyncTrainer::Recover(const Status& failure, const Batch& batch,
         return status;
       }
       LPSGD_RETURN_IF_ERROR(DropRank(crashed_rank));
-    } else if (!recovery_.valid) {
+    } else if (!recovery_) {
       // A non-crash failure that survived the retry layer, and nothing to
       // roll back to: surface it.
       return status;
     }
 
-    if (recovery_.valid) {
-      RestoreRecoverySnapshot(loss_sum, correct, samples);
+    if (recovery_) {
+      // Roll back through the install step Restore uses (after a DropRank
+      // that includes its elastic residual shrink). The virtual clock and
+      // the comm totals are not rewound: the lost work was really spent.
+      LPSGD_RETURN_IF_ERROR(ApplyState(*recovery_));
+      *loss_sum = recovery_->epoch_loss_sum;
+      *correct = recovery_->epoch_correct;
+      *samples = recovery_->epoch_samples;
       if (obs::MetricsEnabled()) obs::Count("trainer/rollbacks");
       if (obs::ReportEnabled()) {
         obs::JsonValue fields = obs::JsonValue::Object();
-        fields.Set("iteration", recovery_.iteration);
+        fields.Set("iteration", recovery_->iteration);
         fields.Set("replay_batches",
                    static_cast<int64_t>(replay_.size()));
         fields.Set("cause", status.message());

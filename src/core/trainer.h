@@ -3,8 +3,8 @@
 #define LPSGD_CORE_TRAINER_H_
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -140,15 +140,6 @@ class SyncTrainer {
   // Replica `rank`'s network (e.g. for invariant checks).
   Network& replica(int rank);
 
-  // Stream checkpointing: saves replica 0's parameters (all replicas are
-  // identical) / restores them into every replica. Optimizer momentum and
-  // error-feedback residuals restart from zero, like CNTK's 1-bit
-  // checkpoint-restart. Both calls verify the stream itself: a full disk,
-  // a truncated file, or any failbit/badbit condition yields a non-OK
-  // Status instead of a silent partial checkpoint.
-  [[nodiscard]] Status SaveCheckpoint(std::ostream& os);
-  [[nodiscard]] Status LoadCheckpoint(std::istream& is);
-
   // Full durable-trainer state at the current commit point (epoch-boundary
   // view: the epoch-local accumulators are zero). What the durable
   // checkpoint cadence writes mid-epoch additionally carries the batch
@@ -188,29 +179,12 @@ class SyncTrainer {
   Status TrainIteration(const Batch& batch, double* loss_sum,
                         int64_t* correct);
 
-  // In-memory state needed to roll the epoch back to a committed step:
-  // model parameters (one copy; replicas are identical), optimizer
-  // momentum (identical across ranks), per-rank error-feedback residuals,
-  // and the epoch-local progress counters.
-  struct RecoverySnapshot {
-    bool valid = false;
-    int64_t iteration = 0;
-    std::vector<Tensor> params;    // replica 0's parameter values [matrix]
-    std::vector<Tensor> velocity;  // optimizer 0's momentum state
-    std::vector<std::vector<std::vector<float>>> errors;  // [rank][matrix]
-    double loss_sum = 0.0;
-    int64_t correct = 0;
-    int64_t samples = 0;
-  };
-
   // Cuts `batch` down to a multiple of live_gpus_ so shards stay equal.
   void TrimBatch(Batch* batch) const;
-  void TakeRecoverySnapshot(double loss_sum, int64_t correct,
-                            int64_t samples);
-  void RestoreRecoverySnapshot(double* loss_sum, int64_t* correct,
-                               int64_t* samples);
   // Removes a crashed rank and rebuilds the aggregator over the survivors
-  // (with the crash stripped from the active fault plan).
+  // (with the crash stripped from the active fault plan). The owner-side
+  // exchange state is per matrix, so it carries over to the rebuilt
+  // aggregator unchanged.
   Status DropRank(int rank);
   // Drives recovery after TrainIteration failed with `failure` on `batch`:
   // degrade-to-survivors for rank crashes, rollback-and-replay from the
@@ -223,13 +197,19 @@ class SyncTrainer {
   // auto-wrapping the storage in a FaultInjectingStorage when the fault
   // plan carries storage verbs.
   Status SetUpDurableCheckpoint();
-  // Snapshot of the full trainer state including the in-flight epoch
-  // accumulators (`cursor` = NextBatch calls consumed this epoch).
+  // The trainer's one state capture: the full state including the
+  // in-flight epoch accumulators (`cursor` = NextBatch calls consumed
+  // this epoch). Durable saves serialize it; in-memory rollback keeps it
+  // as the recovery snapshot.
   ckpt::TrainerState CaptureStateAt(double loss_sum, int64_t correct,
                                     int64_t samples, int64_t cursor) const;
-  // Installs a decoded checkpoint into this trainer (params, momentum,
-  // residuals with elastic remap, aggregator state, counters, resume
-  // cursor). Fails without side effects on any shape/seed/codec mismatch.
+  // Installs a captured state into this trainer, shared by Restore and
+  // rollback: params, momentum, learning rate, residuals with the elastic
+  // remap of Restore() (a rollback after DropRank shrinks the snapshot's
+  // residuals the same way), exchange state, and the iteration and epoch
+  // counters. It leaves the virtual clock, the epoch accumulators, the
+  // resume cursor and the recovery bookkeeping to the caller. Fails
+  // without side effects on any shape/seed/codec mismatch.
   Status ApplyState(const ckpt::TrainerState& state);
   // Elastic residual remap described on Restore().
   Status ImportResiduals(
@@ -275,7 +255,7 @@ class SyncTrainer {
   fault::FaultPlan active_plan_;
   // Durable checkpointing (null when disabled).
   std::unique_ptr<ckpt::CheckpointManager> ckpt_manager_;
-  // Mid-epoch resume markers set by ApplyState and consumed by the first
+  // Mid-epoch resume markers set by Restore and consumed by the first
   // epoch of the next Train() call: skip `resume_cursor_` NextBatch calls
   // and seed the epoch accumulators so the resumed epoch is bit-identical
   // to the uninterrupted one.
@@ -284,7 +264,10 @@ class SyncTrainer {
   double resume_loss_sum_ = 0.0;
   int64_t resume_correct_ = 0;
   int64_t resume_samples_ = 0;
-  RecoverySnapshot recovery_;
+  // In-memory rollback point, captured every checkpoint_every committed
+  // steps; empty until the epoch's first snapshot. It holds epoch-local
+  // accumulators, so it never outlives the epoch that took it.
+  std::optional<ckpt::TrainerState> recovery_;
   // Batches committed since the last snapshot, replayed after a rollback.
   std::vector<Batch> replay_;
   int steps_since_snapshot_ = 0;

@@ -3,8 +3,8 @@
 // Durable-checkpoint chaos runs (ISSUE: durable crash-consistent
 // checkpointing): killing training at any iteration and restoring from
 // the newest durable checkpoint must finish in a final checkpoint
-// bit-equal to the uninterrupted run — across codecs with and without
-// error feedback and across both fabrics. Storage faults (torn pages,
+// bit-equal to the uninterrupted run — for every registered codec family
+// across both fabrics. Storage faults (torn pages,
 // short writes, full disks) must never let a corrupt checkpoint load,
 // and elastic restores at a different rank count must keep training.
 #include <memory>
@@ -21,6 +21,7 @@
 #include "fault/fault_plan.h"
 #include "nn/model_zoo.h"
 #include "obs/metrics.h"
+#include "testing/codec_matrix.h"
 
 namespace lpsgd {
 namespace {
@@ -138,23 +139,15 @@ std::string RunKilledAndResumed(TrainerOptions options, const Dataset& train,
                          kFinalIteration);
 }
 
-struct DurableChaosConfig {
-  const char* name;
-  CodecSpec codec;
-  CommPrimitive primitive;
-};
+class DurableChaosTest : public RegistryCodecTest {};
 
-class DurableChaosTest : public ::testing::TestWithParam<DurableChaosConfig> {
-};
-
-// The headline guarantee, across fp32, QSGD-4, ECQ-4 (error feedback),
-// and Top-K (sparse) over both fabrics: kill at iteration 3 (between
-// durable saves), restore, finish — the final checkpoint is bit-equal to
-// the uninterrupted run's.
+// The headline guarantee, for every registered codec family over both
+// fabrics: kill at iteration 3 (between durable saves), restore, finish —
+// the final checkpoint is bit-equal to the uninterrupted run's.
 TEST_P(DurableChaosTest, KillRestoreFinalCheckpointIsBitEqual) {
   const auto train = MakeImages(128);
   const auto test = MakeImages(64, 1 << 20);
-  const DurableChaosConfig& config = GetParam();
+  const CodecCell& config = GetParam();
 
   const std::string reference = RunReference(
       BaseOptions(config.codec, config.primitive,
@@ -170,23 +163,9 @@ TEST_P(DurableChaosTest, KillRestoreFinalCheckpointIsBitEqual) {
       << "restore did not reproduce the uninterrupted run bit-for-bit";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CodecsAndFabrics, DurableChaosTest,
-    ::testing::Values(
-        DurableChaosConfig{"Fp32Mpi", FullPrecisionSpec(),
-                           CommPrimitive::kMpi},
-        DurableChaosConfig{"Fp32Nccl", FullPrecisionSpec(),
-                           CommPrimitive::kNccl},
-        DurableChaosConfig{"Qsgd4Mpi", QsgdSpec(4), CommPrimitive::kMpi},
-        DurableChaosConfig{"Qsgd4Nccl", QsgdSpec(4), CommPrimitive::kNccl},
-        DurableChaosConfig{"Ecq4Mpi", EcqSgdSpec(4), CommPrimitive::kMpi},
-        DurableChaosConfig{"Ecq4Nccl", EcqSgdSpec(4), CommPrimitive::kNccl},
-        DurableChaosConfig{"TopkMpi", TopKSpec(0.25), CommPrimitive::kMpi},
-        DurableChaosConfig{"TopkNccl", TopKSpec(0.25),
-                           CommPrimitive::kNccl}),
-    [](const ::testing::TestParamInfo<DurableChaosConfig>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(CodecsAndFabrics, DurableChaosTest,
+                         ::testing::ValuesIn(RegistryCodecCells()),
+                         CodecCellName);
 
 // Kill at EVERY iteration 1..8 (including 1, before any durable save has
 // landed, and the save iterations themselves): restore always converges

@@ -3,21 +3,24 @@
 // Seeded chaos runs (ISSUE: deterministic fault injection and recovery):
 // a training run that survives stragglers, transient exchange failures,
 // and corrupted wire bytes via retry + rollback-and-replay must end in a
-// final checkpoint bit-equal to the fault-free run, with every recovery
-// metric matching the fault plan exactly. A rank crash instead degrades
-// to the survivors and completes.
-#include <sstream>
+// final trainer state bit-equal to the fault-free run, with every
+// recovery metric matching the fault plan exactly, for every registered
+// codec family over both engines. A rank crash instead degrades to the
+// survivors and completes.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/format.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "testing/codec_matrix.h"
 
 namespace lpsgd {
 namespace {
@@ -57,7 +60,17 @@ struct RunResult {
   int live_gpus = 0;
 };
 
-// Runs `epochs` epochs and returns the metrics plus the final checkpoint
+// The serialized full trainer state (params, momentum, per-rank and
+// owner-side residuals, counters). The virtual clock is zeroed: retries,
+// stragglers and replayed steps legitimately charge virtual time, so a
+// recovered run ends later than the fault-free one.
+std::string StateBytes(const SyncTrainer& trainer) {
+  ckpt::TrainerState state = trainer.CaptureState();
+  state.virtual_seconds = 0.0;
+  return ckpt::Serialize(state);
+}
+
+// Runs `epochs` epochs and returns the metrics plus the final state
 // bytes. Fails the test (and returns empty) if anything errors.
 RunResult RunTraining(TrainerOptions options, const Dataset& train,
                       const Dataset& test, int epochs) {
@@ -67,9 +80,7 @@ RunResult RunTraining(TrainerOptions options, const Dataset& train,
   auto metrics = (*trainer)->Train(train, test, epochs);
   EXPECT_TRUE(metrics.ok()) << metrics.status();
   if (!metrics.ok()) return {};
-  std::ostringstream checkpoint;
-  EXPECT_TRUE((*trainer)->SaveCheckpoint(checkpoint).ok());
-  return RunResult{*std::move(metrics), checkpoint.str(),
+  return RunResult{*std::move(metrics), StateBytes(**trainer),
                    (*trainer)->live_gpus()};
 }
 
@@ -142,13 +153,7 @@ void ExpectSameLearningCurve(const std::vector<EpochMetrics>& fault_free,
   }
 }
 
-struct ChaosConfig {
-  const char* name;
-  CodecSpec codec;
-  CommPrimitive primitive;
-};
-
-class ChaosRecoveryTest : public ::testing::TestWithParam<ChaosConfig> {};
+class ChaosRecoveryTest : public RegistryCodecTest {};
 
 // 128 samples / batch 32 = 4 iterations per epoch; 2 epochs = iterations
 // 0..7. The plan strikes a straggler at 2, two consecutive transient
@@ -164,7 +169,7 @@ TEST_P(ChaosRecoveryTest, RecoveredRunIsBitEqualToFaultFreeRun) {
   MetricsGuard metrics;
   const auto train = MakeImages(128);
   const auto test = MakeImages(64, 1 << 20);
-  const ChaosConfig& config = GetParam();
+  const CodecCell& config = GetParam();
 
   const RunResult fault_free = RunTraining(
       BaseOptions(config.codec, config.primitive), train, test, 2);
@@ -182,7 +187,7 @@ TEST_P(ChaosRecoveryTest, RecoveredRunIsBitEqualToFaultFreeRun) {
   const FaultCounters delta = FaultCounters::Snapshot().Since(before);
 
   EXPECT_EQ(recovered.checkpoint, fault_free.checkpoint)
-      << "recovery did not reproduce the fault-free parameters bit-for-bit";
+      << "recovery did not reproduce the fault-free state bit-for-bit";
   ExpectSameLearningCurve(fault_free.metrics, recovered.metrics);
   EXPECT_EQ(recovered.live_gpus, 4);
 
@@ -192,16 +197,9 @@ TEST_P(ChaosRecoveryTest, RecoveredRunIsBitEqualToFaultFreeRun) {
   EXPECT_EQ(delta.checksum_failures, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Fabrics, ChaosRecoveryTest,
-    ::testing::Values(
-        ChaosConfig{"Fp32Mpi", FullPrecisionSpec(), CommPrimitive::kMpi},
-        ChaosConfig{"Fp32Nccl", FullPrecisionSpec(), CommPrimitive::kNccl},
-        ChaosConfig{"Qsgd4Mpi", QsgdSpec(4), CommPrimitive::kMpi},
-        ChaosConfig{"Qsgd4Nccl", QsgdSpec(4), CommPrimitive::kNccl}),
-    [](const ::testing::TestParamInfo<ChaosConfig>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Fabrics, ChaosRecoveryTest,
+                         ::testing::ValuesIn(RegistryCodecCells()),
+                         CodecCellName);
 
 // Replaying the identical seed and plan must reproduce the identical run:
 // checkpoints and learning curves are bit-equal between two chaos runs.
@@ -281,6 +279,100 @@ TEST(ChaosRecoveryTest, RankCrashRecoversWithoutCheckpoints) {
   EXPECT_EQ(delta.injected, 1);
   EXPECT_EQ(delta.rollbacks, 0);
   EXPECT_EQ(delta.retries, 0);
+}
+
+// Owner state across DropRank, pinned for ECQ-4 over MPI, whose owner-side
+// requantization residuals are live from the first exchange. Both crash
+// tests below strike in epoch 1 and must end bit-equal to a Restore of
+// the fault-free state at epoch 1's start (iteration 4) onto the 3
+// survivors. 96 samples in batches of 24 keep 4 iterations per epoch with
+// a batch that both 4 and 3 ranks divide, so no batch is trimmed.
+TrainerOptions DropRankOptions() {
+  TrainerOptions options = BaseOptions(EcqSgdSpec(4), CommPrimitive::kMpi);
+  options.global_batch_size = 24;
+  return options;
+}
+
+ckpt::TrainerState StateAfterOneEpoch(const TrainerOptions& options,
+                                      const Dataset& train,
+                                      const Dataset& test) {
+  auto trainer = SyncTrainer::Create(MlpFactory(), options);
+  EXPECT_TRUE(trainer.ok()) << trainer.status();
+  if (!trainer.ok()) return {};
+  auto metrics = (*trainer)->Train(train, test, 1);
+  EXPECT_TRUE(metrics.ok()) << metrics.status();
+  return (*trainer)->CaptureState();
+}
+
+std::string FinishOnSurvivors(TrainerOptions options,
+                              const ckpt::TrainerState& state,
+                              const Dataset& train, const Dataset& test) {
+  options.num_gpus = 3;
+  auto trainer = SyncTrainer::Restore(MlpFactory(), options, state);
+  EXPECT_TRUE(trainer.ok()) << trainer.status();
+  if (!trainer.ok()) return {};
+  auto metrics = (*trainer)->Train(train, test, 1);
+  EXPECT_TRUE(metrics.ok()) << metrics.status();
+  return StateBytes(**trainer);
+}
+
+// Without snapshots, crash@4:3 kills the last rank on epoch 1's first
+// exchange. The trainer erases that rank's residual and re-runs the batch
+// on a rebuilt aggregator that keeps the owner residuals: a same-count
+// restore of the epoch-0 state with rank 3 removed.
+TEST(ChaosRecoveryTest, DropRankCarriesOwnerResiduals) {
+  const auto train = MakeImages(96);
+  const auto test = MakeImages(64, 1 << 20);
+  const TrainerOptions options = DropRankOptions();
+
+  ckpt::TrainerState state = StateAfterOneEpoch(options, train, test);
+  ASSERT_EQ(state.residuals.size(), 4u);
+  ASSERT_FALSE(state.aggregator_state.empty());
+  state.residuals.pop_back();
+  state.rank_count = 3;
+  const std::string expected =
+      FinishOnSurvivors(options, state, train, test);
+  ASSERT_FALSE(expected.empty());
+
+  TrainerOptions faulted = options;
+  auto plan = fault::FaultPlan::Parse("crash@4:3");
+  ASSERT_TRUE(plan.ok());
+  faulted.fault_tolerance.plan = *plan;
+  const RunResult result = RunTraining(faulted, train, test, 2);
+  EXPECT_EQ(result.live_gpus, 3);
+  EXPECT_EQ(result.checkpoint, expected)
+      << "the rebuilt aggregator lost the owner residuals";
+}
+
+// With snapshots every 2 steps, crash@5:1 strikes after epoch 1's first
+// snapshot (iteration 4, taken on 4 ranks). The trainer drops rank 1 and
+// rolls back through Restore's elastic shrink — survivor r absorbs the
+// snapshot's ranks o with o % 3 == r — rather than erasing rank 1 from
+// the snapshot, then replays: an elastic restore of the epoch-0 state.
+TEST(ChaosRecoveryTest, RollbackAfterDropRankShrinksTheSnapshot) {
+  MetricsGuard metrics;
+  const auto train = MakeImages(96);
+  const auto test = MakeImages(64, 1 << 20);
+  const TrainerOptions options = DropRankOptions();
+
+  const ckpt::TrainerState state = StateAfterOneEpoch(options, train, test);
+  ASSERT_EQ(state.residuals.size(), 4u);
+  const std::string expected =
+      FinishOnSurvivors(options, state, train, test);
+  ASSERT_FALSE(expected.empty());
+
+  TrainerOptions faulted = options;
+  auto plan = fault::FaultPlan::Parse("crash@5:1");
+  ASSERT_TRUE(plan.ok());
+  faulted.fault_tolerance.plan = *plan;
+  faulted.fault_tolerance.checkpoint_every = 2;
+  const FaultCounters before = FaultCounters::Snapshot();
+  const RunResult result = RunTraining(faulted, train, test, 2);
+  const FaultCounters delta = FaultCounters::Snapshot().Since(before);
+  EXPECT_EQ(result.live_gpus, 3);
+  EXPECT_EQ(delta.rollbacks, 1);
+  EXPECT_EQ(result.checkpoint, expected)
+      << "the rollback did not shrink the snapshot like Restore";
 }
 
 // Disabling degrade-to-survivors turns the crash into a hard run failure.
