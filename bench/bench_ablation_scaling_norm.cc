@@ -32,7 +32,7 @@ NormStats MeasureNorm(QsgdNorm norm, int bits) {
   spec.bits = bits;
   spec.bucket_size = 512;
   spec.norm = norm;
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
 
   const Shape shape({4096});

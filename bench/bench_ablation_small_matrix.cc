@@ -62,7 +62,7 @@ void PrintPolicyEffect() {
     // covered == total, which for these inventories only adds the handful
     // of small matrices; report the delta analytically.
     const CommCostModel cost(Ec2P2_8xlarge());
-    auto codec = CreateCodec(QsgdSpec(4));
+    auto codec = QsgdSpec(4).Create();
     CHECK_OK(codec.status());
     double extra_encode = 0.0;
     int64_t byte_delta = 0;

@@ -22,7 +22,7 @@ namespace lpsgd {
 namespace {
 
 double MeasureMse(const CodecSpec& spec) {
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   const Shape shape({4096});
   Tensor grad(shape);
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     for (bool adaptive : {false, true}) {
       const CodecSpec spec =
           adaptive ? AdaptiveQsgdSpec(bits) : QsgdSpec(bits);
-      auto codec = CreateCodec(spec);
+      auto codec = spec.Create();
       CHECK_OK(codec.status());
       table.AddRow({spec.Label(), FormatDouble(MeasureMse(spec), 5),
                     StrCat((*codec)->EncodedSizeBytes(Shape({2048}))),

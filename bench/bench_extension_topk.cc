@@ -81,7 +81,7 @@ void WireBytesVsQsgd() {
     auto stats = FindNetworkStats(name);
     CHECK_OK(stats.status());
     auto bytes_for = [&](const CodecSpec& spec) {
-      auto codec = CreateCodec(spec);
+      auto codec = spec.Create();
       CHECK_OK(codec.status());
       int64_t total = 0;
       for (const MatrixStat& m : stats->matrices) {

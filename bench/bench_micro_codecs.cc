@@ -30,7 +30,7 @@ Tensor MakeGradient(int64_t n) {
 void RunEncode(benchmark::State& state, const CodecSpec& spec,
                bool column_matrix = false) {
   const int64_t n = state.range(0);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   // Column-matrix mode mimics a conv tensor: 3 rows, n/3 columns.
   Tensor grad = MakeGradient(n);
@@ -58,7 +58,7 @@ void RunEncode(benchmark::State& state, const CodecSpec& spec,
 
 void RunDecode(benchmark::State& state, const CodecSpec& spec) {
   const int64_t n = state.range(0);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   Tensor grad = MakeGradient(n);
   const Shape shape({n});

@@ -156,7 +156,7 @@ int Run(const Args& args) {
       return 1;
     }
   }
-  auto spec = ParseCodecSpec(args.codec);
+  auto spec = CodecSpec::Parse(args.codec);
   if (!spec.ok()) {
     std::cerr << spec.status() << "\nregistered codecs:\n";
     for (const std::string& line : CodecRegistry::Global().HelpLines()) {

@@ -9,6 +9,7 @@
 #include "comm/retry.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "quant/workspace.h"
 
 namespace lpsgd {
 namespace {
@@ -125,14 +126,22 @@ double CommStats::CompressionRatio() const {
 
 namespace comm_internal {
 
-void RecordAllReduceStats(const CommStats& stats) {
-  if (!obs::MetricsEnabled()) return;
-  obs::Count("comm/allreduce_calls");
-  obs::Count("comm/wire_bytes", stats.wire_bytes);
-  obs::Count("comm/raw_bytes", stats.raw_bytes);
-  obs::Count("comm/messages", stats.messages);
-  obs::Observe("comm/virtual_comm_seconds", stats.comm_seconds);
-  obs::Observe("comm/virtual_encode_seconds", stats.encode_seconds);
+void RecordAllReduceStats(const CommStats& stats,
+                          std::vector<CodecWorkspace>* workspaces) {
+  if (obs::MetricsEnabled()) {
+    obs::Count("comm/allreduce_calls");
+    obs::Count("comm/wire_bytes", stats.wire_bytes);
+    obs::Count("comm/raw_bytes", stats.raw_bytes);
+    obs::Count("comm/messages", stats.messages);
+    obs::Observe("comm/virtual_comm_seconds", stats.comm_seconds);
+    obs::Observe("comm/virtual_encode_seconds", stats.encode_seconds);
+  }
+  if (obs::ProfileEnabled()) {
+    for (CodecWorkspace& ws : *workspaces) {
+      obs::Profiler::Global().AddPhases(ws.phases);
+      ws.phases.Clear();
+    }
+  }
 }
 
 namespace {

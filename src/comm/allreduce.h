@@ -43,10 +43,13 @@ namespace comm_internal {
 
 // Flushes one AllReduce call's accounting into the comm/* metrics of the
 // global registry (comm/allreduce_calls, comm/wire_bytes, comm/raw_bytes,
-// comm/messages, comm/virtual_{comm,encode}_seconds). No-op while the
-// registry is disabled. Both aggregation engines call this so their
+// comm/messages, comm/virtual_{comm,encode}_seconds), then folds every
+// slot's phase scratch in `workspaces` into the profiler's open step and
+// clears it. Each part no-ops while its sink is disabled. Both aggregation
+// engines call this serially after their parallel stages, so their
 // reports stay comparable.
-void RecordAllReduceStats(const CommStats& stats);
+void RecordAllReduceStats(const CommStats& stats,
+                          std::vector<CodecWorkspace>* workspaces);
 
 // Stochastic-tag derivation for the MPI exchange's two quantization
 // stages. Both hash the same per-(iteration, matrix) counter — iteration

@@ -8,9 +8,7 @@
 #include "base/logging.h"
 #include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
-#include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 
@@ -88,13 +86,13 @@ Status MpiReduceBcastAggregator::ImportExchangeState(
 StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     std::vector<MatrixSlot>* slots, int64_t iteration) {
   CHECK(slots != nullptr);
-  obs::ScopedTimer wall_timer("comm/allreduce_wall_seconds");
-  obs::TraceSpan allreduce_span("mpi_reduce_bcast/allreduce", "comm");
+  obs::Span allreduce_span({.histogram = "comm/allreduce_wall_seconds",
+                            .trace = "mpi_reduce_bcast/allreduce",
+                            .category = "comm"});
   // Internal-state transaction (comm/allreduce.h): any error return below
   // rolls the aggregation residuals back to this checkpoint.
   {
-    obs::PhaseTimer checkpoint_timer(&workspaces_[0].phases,
-                                     obs::kPhaseRetry);
+    obs::Span checkpoint_span(&workspaces_[0].phases, obs::kPhaseRetry);
     CheckpointExchangeState();
   }
   const int k = num_ranks_;
@@ -114,7 +112,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   // residual zeroing) is exchange staging: attribute it so a cold first
   // step keeps its breakdown coverage.
   {
-    obs::PhaseTimer setup_timer(&workspaces_[0].phases, obs::kPhaseSum);
+    obs::Span setup_span(&workspaces_[0].phases, obs::kPhaseSum);
     per_matrix_.assign(slots->size(), CommStats{});
     rank_blob_bytes_.assign(slots->size(), 0);
     if (decoded_.size() < slots->size()) decoded_.resize(slots->size());
@@ -164,202 +162,205 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   // decoded into that rank's scratch buffer. Stochastic tags depend only
   // on (iteration, m, r), residuals are per (m, r), and scratch buffers
   // are disjoint — scheduling cannot change a single bit.
-  const uint64_t reduce_span =
-      obs::Tracer::Global().Begin("mpi_reduce_bcast/reduce", "comm");
-  const Status reduce_status = exec_.ParallelFor(
-      0, num_matrices * k, LPSGD_HOT_PATH [&](int64_t task) -> Status {
-        const size_t m = static_cast<size_t>(task / k);
-        const size_t r = static_cast<size_t>(task % k);
-        MatrixSlot& slot = (*slots)[m];
-        if (!slot.quantized || identity_codec) return OkStatus();
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
-        CodecWorkspace& ws = workspaces_[static_cast<size_t>(slot_id)];
-        const int64_t n = slot.quant_shape.element_count();
-        const uint64_t tag = comm_internal::ExchangeRankTag(
-            iteration, static_cast<int64_t>(m), static_cast<int>(r));
-        std::vector<float>* error =
-            codec_->UsesErrorFeedback() ? slot.rank_errors[r] : nullptr;
-        codec_->Encode(slot.rank_grads[r], slot.quant_shape, tag, error, &ws,
-                       &ws.blob);
-        if (wire_tamper_) {
-          wire_tamper_(iteration, static_cast<int64_t>(m),
-                       static_cast<int>(r), ws.blob.data(),
-                       static_cast<int64_t>(ws.blob.size()));
-        }
-        if (r == 0) {  // blob sizes are shape-determined, uniform per rank
-          rank_blob_bytes_[m] = static_cast<int64_t>(ws.blob.size());
-        }
-        const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
-        if (sparse_count > 0) {
-          // Sparse wire form: decode the (index, value) runs directly; the
-          // owner scatter-adds them in stage 2 without densifying k blobs.
-          uint32_t* indices;
-          float* values;
+  {
+    obs::Span reduce_span(
+        {.trace = "mpi_reduce_bcast/reduce", .category = "comm"});
+    const Status reduce_status = exec_.ParallelFor(
+        0, num_matrices * k, LPSGD_HOT_PATH [&](int64_t task) -> Status {
+          const size_t m = static_cast<size_t>(task / k);
+          const size_t r = static_cast<size_t>(task % k);
+          MatrixSlot& slot = (*slots)[m];
+          if (!slot.quantized || identity_codec) return OkStatus();
+          const int slot_id = ThreadPool::CurrentSlot();
+          CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
+          CodecWorkspace& ws = workspaces_[static_cast<size_t>(slot_id)];
+          const int64_t n = slot.quant_shape.element_count();
+          const uint64_t tag = comm_internal::ExchangeRankTag(
+              iteration, static_cast<int64_t>(m), static_cast<int>(r));
+          std::vector<float>* error =
+              codec_->UsesErrorFeedback() ? slot.rank_errors[r] : nullptr;
+          codec_->Encode(slot.rank_grads[r], slot.quant_shape, tag, error, &ws,
+                         &ws.blob);
+          if (wire_tamper_) {
+            wire_tamper_(iteration, static_cast<int64_t>(m),
+                         static_cast<int>(r), ws.blob.data(),
+                         static_cast<int64_t>(ws.blob.size()));
+          }
+          if (r == 0) {  // blob sizes are shape-determined, uniform per rank
+            rank_blob_bytes_[m] = static_cast<int64_t>(ws.blob.size());
+          }
+          const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
+          if (sparse_count > 0) {
+            // Sparse wire form: decode the (index, value) runs directly; the
+            // owner scatter-adds them in stage 2 without densifying k blobs.
+            uint32_t* indices;
+            float* values;
+            {
+              // First-call growth of the decode scratch is staging work.
+              obs::Span scratch_span(&ws.phases, obs::kPhaseSum);
+              indices = quant_internal::EnsureSize(
+                  &sparse_indices_[m][r], static_cast<size_t>(sparse_count));
+              values = quant_internal::EnsureSize(
+                  &sparse_values_[m][r], static_cast<size_t>(sparse_count));
+            }
+            LPSGD_RETURN_IF_ERROR(codec_->DecodeSparse(
+                ws.blob.data(), static_cast<int64_t>(ws.blob.size()),
+                slot.quant_shape, &ws, indices, values));
+            return OkStatus();
+          }
+          float* out;
           {
             // First-call growth of the decode scratch is staging work.
-            obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
-            indices = quant_internal::EnsureSize(
-                &sparse_indices_[m][r], static_cast<size_t>(sparse_count));
-            values = quant_internal::EnsureSize(
-                &sparse_values_[m][r], static_cast<size_t>(sparse_count));
+            obs::Span scratch_span(&ws.phases, obs::kPhaseSum);
+            out = quant_internal::EnsureSize(&decoded_[m][r],
+                                             static_cast<size_t>(n));
           }
-          LPSGD_RETURN_IF_ERROR(codec_->DecodeSparse(
+          LPSGD_RETURN_IF_ERROR(codec_->Decode(
               ws.blob.data(), static_cast<int64_t>(ws.blob.size()),
-              slot.quant_shape, &ws, indices, values));
+              slot.quant_shape, &ws, out));
           return OkStatus();
-        }
-        float* out;
-        {
-          // First-call growth of the decode scratch is staging work.
-          obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
-          out = quant_internal::EnsureSize(&decoded_[m][r],
-                                           static_cast<size_t>(n));
-        }
-        LPSGD_RETURN_IF_ERROR(
-            codec_->Decode(ws.blob.data(), static_cast<int64_t>(ws.blob.size()),
-                           slot.quant_shape, &ws, out));
-        return OkStatus();
-      });
-  if (!reduce_status.ok()) {
-    obs::Tracer::Global().End(reduce_span);
-    RollbackExchangeState();
-    // Partial phase scratch from the failed attempt must not leak into the
-    // next (retried) exchange's breakdown.
-    for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
-    return reduce_status;
+        });
+    if (!reduce_status.ok()) {
+      RollbackExchangeState();
+      // Partial phase scratch from the failed attempt must not leak into
+      // the next (retried) exchange's breakdown.
+      for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
+      return reduce_status;
+    }
+    int64_t reduce_bytes = 0;
+    for (int64_t bytes : rank_blob_bytes_) reduce_bytes += bytes * k;
+    reduce_span.set_bytes(reduce_bytes);
   }
-  int64_t reduce_bytes = 0;
-  for (int64_t bytes : rank_blob_bytes_) reduce_bytes += bytes * k;
-  obs::Tracer::Global().EndWithBytes(reduce_span, reduce_bytes);
 
   // Stage 2 (parallel over matrices): the owner sums the decoded blobs in
   // rank order (fixed fp summation order), re-encodes the aggregate with
   // its persistent residual, and broadcasts; every rank decodes. Bypassed
   // matrices travel the full-precision reduce+broadcast here instead.
-  const uint64_t bcast_span =
-      obs::Tracer::Global().Begin("mpi_reduce_bcast/broadcast", "comm");
-  const Status bcast_status = exec_.ParallelFor(
-      0, num_matrices, LPSGD_HOT_PATH [&](int64_t mi) -> Status {
-        const size_t m = static_cast<size_t>(mi);
-        MatrixSlot& slot = (*slots)[m];
-        obs::TraceSpan matrix_span("mpi_reduce_bcast/matrix", "comm");
-        const int64_t n = slot.quant_shape.element_count();
-        const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
-        CommStats& stats = per_matrix_[m];
-        stats.raw_bytes += raw_bytes;
+  {
+    obs::Span bcast_span(
+        {.trace = "mpi_reduce_bcast/broadcast", .category = "comm"});
+    const Status bcast_status = exec_.ParallelFor(
+        0, num_matrices, LPSGD_HOT_PATH [&](int64_t mi) -> Status {
+          const size_t m = static_cast<size_t>(mi);
+          MatrixSlot& slot = (*slots)[m];
+          obs::Span matrix_span(
+              {.trace = "mpi_reduce_bcast/matrix", .category = "comm"});
+          const int64_t n = slot.quant_shape.element_count();
+          const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
+          CommStats& stats = per_matrix_[m];
+          stats.raw_bytes += raw_bytes;
 
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
-        CodecWorkspace& ws = workspaces_[static_cast<size_t>(slot_id)];
+          const int slot_id = ThreadPool::CurrentSlot();
+          CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
+          CodecWorkspace& ws = workspaces_[static_cast<size_t>(slot_id)];
 
-        const bool quantize = slot.quantized && !identity_codec;
-        if (!quantize) {
-          // Full-precision pipeline: plain reduce + broadcast of fp32 data
-          // through the matrix's persistent double accumulator.
-          // Each sum[i] accumulates over ranks in fixed order; within one
-          // rank pass the elements are independent, so the widened add and
-          // the fp32 store dispatch to the elementwise SIMD kernels without
-          // changing any rounding.
-          const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
-          double* sum;
-          {
-            obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
-            sum = quant_internal::EnsureSize(&fp_sums_[m],
-                                             static_cast<size_t>(n));
-            std::fill(sum, sum + n, 0.0);
-            for (int r = 0; r < k; ++r) {
-              elementwise.accumulate_f64(
-                  sum, slot.rank_grads[static_cast<size_t>(r)], n);
-            }
-          }
-          {
-            obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
-            for (int r = 0; r < k; ++r) {
-              elementwise.store_f64_as_f32(
-                  sum, slot.rank_grads[static_cast<size_t>(r)], n);
-            }
-          }
-          stats.wire_bytes += raw_bytes;
-          stats.messages += 2;
-          matrix_span.set_bytes(raw_bytes);
-          return OkStatus();
-        }
-
-        const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
-        float* aggregate;
-        {
-          obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
-          aggregate = quant_internal::EnsureSize(&aggregates_[m],
-                                                 static_cast<size_t>(n));
-          std::fill(aggregate, aggregate + n, 0.0f);
-          if (sparse_count > 0) {
-            // Scatter-add the k (index, value) runs in rank order. Each
-            // absent component contributes an exact 0.0f, so the result is
-            // element-equal to the dense sum at any thread count.
-            for (int r = 0; r < k; ++r) {
-              const uint32_t* indices =
-                  sparse_indices_[m][static_cast<size_t>(r)].data();
-              const float* values =
-                  sparse_values_[m][static_cast<size_t>(r)].data();
-              for (int64_t i = 0; i < sparse_count; ++i) {
-                aggregate[indices[i]] += values[i];
+          const bool quantize = slot.quantized && !identity_codec;
+          if (!quantize) {
+            // Full-precision pipeline: plain reduce + broadcast of fp32 data
+            // through the matrix's persistent double accumulator.
+            // Each sum[i] accumulates over ranks in fixed order; within one
+            // rank pass the elements are independent, so the widened add and
+            // the fp32 store dispatch to the elementwise SIMD kernels without
+            // changing any rounding.
+            const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
+            double* sum;
+            {
+              obs::Span sum_span(&ws.phases, obs::kPhaseSum);
+              sum = quant_internal::EnsureSize(&fp_sums_[m],
+                                               static_cast<size_t>(n));
+              std::fill(sum, sum + n, 0.0);
+              for (int r = 0; r < k; ++r) {
+                elementwise.accumulate_f64(
+                    sum, slot.rank_grads[static_cast<size_t>(r)], n);
               }
             }
-          } else {
-            const ElementwiseKernels& elementwise =
-                ActiveElementwiseKernels();
-            for (int r = 0; r < k; ++r) {
-              elementwise.add_assign_f32(
-                  aggregate, decoded_[m][static_cast<size_t>(r)].data(), n);
+            {
+              obs::Span wire_span(&ws.phases, obs::kPhaseWire);
+              for (int r = 0; r < k; ++r) {
+                elementwise.store_f64_as_f32(
+                    sum, slot.rank_grads[static_cast<size_t>(r)], n);
+              }
+            }
+            stats.wire_bytes += raw_bytes;
+            stats.messages += 2;
+            matrix_span.set_bytes(raw_bytes);
+            return OkStatus();
+          }
+
+          const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
+          float* aggregate;
+          {
+            obs::Span sum_span(&ws.phases, obs::kPhaseSum);
+            aggregate = quant_internal::EnsureSize(&aggregates_[m],
+                                                   static_cast<size_t>(n));
+            std::fill(aggregate, aggregate + n, 0.0f);
+            if (sparse_count > 0) {
+              // Scatter-add the k (index, value) runs in rank order. Each
+              // absent component contributes an exact 0.0f, so the result is
+              // element-equal to the dense sum at any thread count.
+              for (int r = 0; r < k; ++r) {
+                const uint32_t* indices =
+                    sparse_indices_[m][static_cast<size_t>(r)].data();
+                const float* values =
+                    sparse_values_[m][static_cast<size_t>(r)].data();
+                for (int64_t i = 0; i < sparse_count; ++i) {
+                  aggregate[indices[i]] += values[i];
+                }
+              }
+            } else {
+              const ElementwiseKernels& elementwise =
+                  ActiveElementwiseKernels();
+              for (int r = 0; r < k; ++r) {
+                elementwise.add_assign_f32(
+                    aggregate, decoded_[m][static_cast<size_t>(r)].data(), n);
+              }
             }
           }
-        }
 
-        const int owner = static_cast<int>(m) % k;
-        // Residual already sized by the serial setup loop above.
-        std::vector<float>* agg_error =
-            codec_->UsesErrorFeedback() ? &aggregate_errors_[m] : nullptr;
-        const uint64_t agg_tag = comm_internal::ExchangeAggregateTag(
-            iteration, static_cast<int64_t>(m), owner);
-        codec_->Encode(aggregate, slot.quant_shape, agg_tag, agg_error, &ws,
-                       &ws.blob);
-        if (wire_tamper_) {
-          wire_tamper_(iteration, static_cast<int64_t>(m), /*rank=*/-1,
-                       ws.blob.data(), static_cast<int64_t>(ws.blob.size()));
-        }
-        const int64_t blob_bytes = static_cast<int64_t>(ws.blob.size());
-        float* bcast;
-        {
-          obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
-          bcast = quant_internal::EnsureSize(&bcasts_[m],
-                                             static_cast<size_t>(n));
-        }
-        LPSGD_RETURN_IF_ERROR(codec_->Decode(ws.blob.data(), blob_bytes,
-                                             slot.quant_shape, &ws, bcast));
-        {
-          obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
-          for (int r = 0; r < k; ++r) {
-            std::memcpy(slot.rank_grads[static_cast<size_t>(r)], bcast,
-                        static_cast<size_t>(n) * sizeof(float));
+          const int owner = static_cast<int>(m) % k;
+          // Residual already sized by the serial setup loop above.
+          std::vector<float>* agg_error =
+              codec_->UsesErrorFeedback() ? &aggregate_errors_[m] : nullptr;
+          const uint64_t agg_tag = comm_internal::ExchangeAggregateTag(
+              iteration, static_cast<int64_t>(m), owner);
+          codec_->Encode(aggregate, slot.quant_shape, agg_tag, agg_error, &ws,
+                         &ws.blob);
+          if (wire_tamper_) {
+            wire_tamper_(iteration, static_cast<int64_t>(m), /*rank=*/-1,
+                         ws.blob.data(), static_cast<int64_t>(ws.blob.size()));
           }
-        }
+          const int64_t blob_bytes = static_cast<int64_t>(ws.blob.size());
+          float* bcast;
+          {
+            obs::Span scratch_span(&ws.phases, obs::kPhaseSum);
+            bcast = quant_internal::EnsureSize(&bcasts_[m],
+                                               static_cast<size_t>(n));
+          }
+          LPSGD_RETURN_IF_ERROR(codec_->Decode(ws.blob.data(), blob_bytes,
+                                               slot.quant_shape, &ws, bcast));
+          {
+            obs::Span wire_span(&ws.phases, obs::kPhaseWire);
+            for (int r = 0; r < k; ++r) {
+              std::memcpy(slot.rank_grads[static_cast<size_t>(r)], bcast,
+                          static_cast<size_t>(n) * sizeof(float));
+            }
+          }
 
-        stats.wire_bytes += blob_bytes;
-        stats.messages += 2;
-        matrix_span.set_bytes(blob_bytes);
-        // Per-rank kernel work: encode own gradient, decode the aggregate,
-        // and an amortized share of the owner-side decodes and re-encode.
-        const int64_t chunks = codec_->NumChunks(slot.quant_shape);
-        stats.encode_seconds +=
-            3.0 * cost_model_.QuantKernelSeconds(n, chunks);
-        return OkStatus();
-      });
-  obs::Tracer::Global().End(bcast_span);
-  if (!bcast_status.ok()) {
-    RollbackExchangeState();
-    for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
-    return bcast_status;
+          stats.wire_bytes += blob_bytes;
+          stats.messages += 2;
+          matrix_span.set_bytes(blob_bytes);
+          // Per-rank kernel work: encode own gradient, decode the aggregate,
+          // and an amortized share of the owner-side decodes and re-encode.
+          const int64_t chunks = codec_->NumChunks(slot.quant_shape);
+          stats.encode_seconds +=
+              3.0 * cost_model_.QuantKernelSeconds(n, chunks);
+          return OkStatus();
+        });
+    if (!bcast_status.ok()) {
+      RollbackExchangeState();
+      for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
+      return bcast_status;
+    }
   }
 
   CommStats stats;
@@ -367,16 +368,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   stats.comm_seconds +=
       cost_model_.MpiExchangeSeconds(stats.wire_bytes, stats.messages, k);
   allreduce_span.set_bytes(stats.wire_bytes);
-  comm_internal::RecordAllReduceStats(stats);
-  // Fold the per-slot phase scratch (codec encode/decode plus the sum and
-  // broadcast spans above) into the profiler's open step — serially, after
-  // the parallel stages, so no slot is concurrently written.
-  if (obs::ProfileEnabled()) {
-    for (CodecWorkspace& ws : workspaces_) {
-      obs::Profiler::Global().AddPhases(ws.phases);
-      ws.phases.Clear();
-    }
-  }
+  comm_internal::RecordAllReduceStats(stats, &workspaces_);
   return stats;
 }
 

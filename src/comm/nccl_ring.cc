@@ -8,8 +8,7 @@
 #include "base/logging.h"
 #include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 
@@ -45,8 +44,9 @@ NcclRingAggregator::NcclRingAggregator(int num_ranks, CodecSpec spec,
 StatusOr<CommStats> NcclRingAggregator::AllReduce(
     std::vector<MatrixSlot>* slots, int64_t iteration) {
   CHECK(slots != nullptr);
-  obs::ScopedTimer wall_timer("comm/allreduce_wall_seconds");
-  obs::TraceSpan allreduce_span("nccl_ring/allreduce", "comm");
+  obs::Span allreduce_span({.histogram = "comm/allreduce_wall_seconds",
+                            .trace = "nccl_ring/allreduce",
+                            .category = "comm"});
   const int k = num_ranks_;
   const int64_t num_matrices = static_cast<int64_t>(slots->size());
   const bool identity_codec = spec_.kind == CodecKind::kFullPrecision;
@@ -63,7 +63,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
   // parallel stages below stay allocation-free.
   bool any_sparse = false;
   {
-    obs::PhaseTimer setup_timer(&workspaces_[0].phases, obs::kPhaseSum);
+    obs::Span setup_span(&workspaces_[0].phases, obs::kPhaseSum);
     if (sparse_indices_.size() < slots->size()) {
       sparse_indices_.resize(slots->size());
     }
@@ -116,7 +116,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
           float* values;
           {
             // First-call growth of the decode scratch is staging work.
-            obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
+            obs::Span scratch_span(&ws.phases, obs::kPhaseSum);
             indices = quant_internal::EnsureSize(
                 &sparse_indices_[m][r], static_cast<size_t>(sparse_count));
             values = quant_internal::EnsureSize(
@@ -159,7 +159,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
         const int owner = seg;
         float* acc = slot.rank_grads[static_cast<size_t>(owner)];
         {
-          obs::PhaseTimer sum_timer(&phases, obs::kPhaseSum);
+          obs::Span sum_span(&phases, obs::kPhaseSum);
           // Hop order is the sequential chain; within a hop the elements
           // are independent, so the add dispatches to the elementwise SIMD
           // kernel without changing any rounding.
@@ -173,7 +173,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
         }
         // Allgather: the reduced segment is copied to every rank.
         {
-          obs::PhaseTimer wire_timer(&phases, obs::kPhaseWire);
+          obs::Span wire_span(&phases, obs::kPhaseWire);
           for (int r = 0; r < k; ++r) {
             if (r == owner) continue;
             float* dst = slot.rank_grads[static_cast<size_t>(r)];
@@ -202,7 +202,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
               codec_->SparseCount(slot.quant_shape);
           float* aggregate;
           {
-            obs::PhaseTimer sum_timer(&phases, obs::kPhaseSum);
+            obs::Span sum_span(&phases, obs::kPhaseSum);
             aggregate = quant_internal::EnsureSize(&aggregates_[m],
                                                    static_cast<size_t>(n));
             std::fill(aggregate, aggregate + n, 0.0f);
@@ -217,7 +217,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
             }
           }
           {
-            obs::PhaseTimer wire_timer(&phases, obs::kPhaseWire);
+            obs::Span wire_span(&phases, obs::kPhaseWire);
             for (int r = 0; r < k; ++r) {
               std::memcpy(slot.rank_grads[static_cast<size_t>(r)],
                           aggregate, static_cast<size_t>(n) * sizeof(float));
@@ -231,7 +231,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
   // charges are pure arithmetic on shapes, independent of the exchange.
   CommStats stats;
   for (MatrixSlot& slot : *slots) {
-    obs::TraceSpan matrix_span("nccl_ring/matrix", "comm");
+    obs::Span matrix_span({.trace = "nccl_ring/matrix", .category = "comm"});
     const int64_t n = slot.quant_shape.element_count();
     const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
     stats.raw_bytes += raw_bytes;
@@ -260,16 +260,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
   stats.comm_seconds +=
       cost_model_.NcclAllReduceSeconds(stats.wire_bytes, stats.messages, k);
   allreduce_span.set_bytes(stats.wire_bytes);
-  comm_internal::RecordAllReduceStats(stats);
-  // Fold the per-slot phase scratch into the profiler's open step —
-  // serially, after the parallel stages, so no slot is concurrently
-  // written.
-  if (obs::ProfileEnabled()) {
-    for (CodecWorkspace& ws : workspaces_) {
-      obs::Profiler::Global().AddPhases(ws.phases);
-      ws.phases.Clear();
-    }
-  }
+  comm_internal::RecordAllReduceStats(stats, &workspaces_);
   return stats;
 }
 

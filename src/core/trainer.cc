@@ -1,8 +1,6 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "core/trainer.h"
 
-#include <chrono>
-
 #include "base/logging.h"
 #include "base/strings.h"
 #include "ckpt/fault_storage.h"
@@ -10,19 +8,10 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/run_report.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "tensor/ops.h"
 
 namespace lpsgd {
-namespace {
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 obs::JsonValue EpochMetricsToJson(const EpochMetrics& metrics) {
   obs::JsonValue entry = obs::JsonValue::Object();
@@ -432,8 +421,9 @@ Network& SyncTrainer::replica(int rank) {
 
 Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
                                    int64_t* correct) {
-  obs::ScopedTimer iteration_timer("trainer/iteration_seconds");
-  obs::TraceSpan iteration_span("trainer/iteration", "trainer");
+  obs::Span iteration_span({.histogram = "trainer/iteration_seconds",
+                            .trace = "trainer/iteration",
+                            .category = "trainer"});
   const double virtual_start = virtual_seconds_;
   // Open the step for phase attribution. A failed iteration is never
   // EndStep'ed: the next BeginStep discards its partial phases, and the
@@ -461,51 +451,53 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
   // Each rank touches only its own replica and shard; the per-rank loss
   // sums land in disjoint slots and are reduced in rank order below, so
   // the totals are bit-identical at any thread count.
-  const uint64_t compute_span =
-      obs::Tracer::Global().Begin("trainer/forward_backward", "trainer");
   rank_loss_.assign(static_cast<size_t>(k), 0.0);
   rank_correct_.assign(static_cast<size_t>(k), 0);
   std::vector<double>& rank_loss = rank_loss_;
   std::vector<int64_t>& rank_correct = rank_correct_;
-  LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
-      0, k, [&](int64_t rank) -> Status {
-        obs::TraceSpan rank_span("trainer/rank_forward_backward", "trainer");
-        const int r = static_cast<int>(rank);
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
-        obs::PhaseTimes& phases = slot_phases_[static_cast<size_t>(slot_id)];
-        Network& replica = replicas_[static_cast<size_t>(r)];
+  {
+    obs::Span compute_span(
+        {.trace = "trainer/forward_backward", .category = "trainer"});
+    LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
+        0, k, [&](int64_t rank) -> Status {
+          obs::Span rank_span({.trace = "trainer/rank_forward_backward",
+                               .category = "trainer"});
+          const int r = static_cast<int>(rank);
+          const int slot_id = ThreadPool::CurrentSlot();
+          CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
+          obs::PhaseTimes& phases = slot_phases_[static_cast<size_t>(slot_id)];
+          Network& replica = replicas_[static_cast<size_t>(r)];
 
-        LossResult loss = [&] {
-          obs::PhaseTimer forward_timer(&phases, obs::kPhaseForward);
-          replica.ZeroGrads();
+          LossResult loss = [&] {
+            obs::Span forward_span(&phases, obs::kPhaseForward);
+            replica.ZeroGrads();
 
-          std::vector<int64_t> dims;
-          dims.push_back(shard);
-          for (int64_t d : sample_shape.dims()) dims.push_back(d);
-          Tensor inputs{Shape(dims)};
-          std::vector<int> labels(static_cast<size_t>(shard));
-          const int64_t begin = r * shard;
-          std::copy(batch.inputs.data() + begin * sample_elems,
-                    batch.inputs.data() + (begin + shard) * sample_elems,
-                    inputs.data());
-          for (int64_t i = 0; i < shard; ++i) {
-            labels[static_cast<size_t>(i)] =
-                batch.labels[static_cast<size_t>(begin + i)];
+            std::vector<int64_t> dims;
+            dims.push_back(shard);
+            for (int64_t d : sample_shape.dims()) dims.push_back(d);
+            Tensor inputs{Shape(dims)};
+            std::vector<int> labels(static_cast<size_t>(shard));
+            const int64_t begin = r * shard;
+            std::copy(batch.inputs.data() + begin * sample_elems,
+                      batch.inputs.data() + (begin + shard) * sample_elems,
+                      inputs.data());
+            for (int64_t i = 0; i < shard; ++i) {
+              labels[static_cast<size_t>(i)] =
+                  batch.labels[static_cast<size_t>(begin + i)];
+            }
+
+            Tensor logits = replica.Forward(inputs, /*training=*/true);
+            return SoftmaxCrossEntropy(logits, labels);
+          }();
+          rank_loss[static_cast<size_t>(r)] = loss.loss_sum;
+          rank_correct[static_cast<size_t>(r)] = loss.correct;
+          {
+            obs::Span backward_span(&phases, obs::kPhaseBackward);
+            replica.Backward(loss.logits_grad);
           }
-
-          Tensor logits = replica.Forward(inputs, /*training=*/true);
-          return SoftmaxCrossEntropy(logits, labels);
-        }();
-        rank_loss[static_cast<size_t>(r)] = loss.loss_sum;
-        rank_correct[static_cast<size_t>(r)] = loss.correct;
-        {
-          obs::PhaseTimer backward_timer(&phases, obs::kPhaseBackward);
-          replica.Backward(loss.logits_grad);
-        }
-        return OkStatus();
-      }));
-  obs::Tracer::Global().End(compute_span);
+          return OkStatus();
+        }));
+  }
 
   // Phase 2: synchronous gradient exchange (Algorithm 1, lines 3-8). The
   // slot list is refilled into persistent scratch; the nested rank vectors
@@ -514,7 +506,7 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
   slots_.resize(num_matrices);
   {
     // Slot refill is serial staging work for the exchange.
-    obs::PhaseTimer staging_timer(&slot_phases_[0], obs::kPhaseSum);
+    obs::Span staging_span(&slot_phases_[0], obs::kPhaseSum);
     for (size_t m = 0; m < num_matrices; ++m) {
       MatrixSlot& slot = slots_[m];
       slot.quant_shape = replica_params_[0][m].quant_shape;
@@ -536,24 +528,24 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
 
   // Phase 3 (parallel across ranks): identical averaged update. Each rank
   // scales and steps only its own parameters and momentum state.
-  const uint64_t update_span =
-      obs::Tracer::Global().Begin("trainer/optimizer_step", "trainer");
   const float inv_k = 1.0f / static_cast<float>(k);
-  LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
-      0, k, [&](int64_t r) -> Status {
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
-        obs::PhaseTimer optimizer_timer(
-            &slot_phases_[static_cast<size_t>(slot_id)],
-            obs::kPhaseOptimizer);
-        for (ParamRef& param : replica_params_[static_cast<size_t>(r)]) {
-          Scale(inv_k, param.grad);
-        }
-        optimizers_[static_cast<size_t>(r)].Step(
-            replica_params_[static_cast<size_t>(r)]);
-        return OkStatus();
-      }));
-  obs::Tracer::Global().End(update_span);
+  {
+    obs::Span update_span(
+        {.trace = "trainer/optimizer_step", .category = "trainer"});
+    LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
+        0, k, [&](int64_t r) -> Status {
+          const int slot_id = ThreadPool::CurrentSlot();
+          CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
+          obs::Span optimizer_span(&slot_phases_[static_cast<size_t>(slot_id)],
+                                   obs::kPhaseOptimizer);
+          for (ParamRef& param : replica_params_[static_cast<size_t>(r)]) {
+            Scale(inv_k, param.grad);
+          }
+          optimizers_[static_cast<size_t>(r)].Step(
+              replica_params_[static_cast<size_t>(r)]);
+          return OkStatus();
+        }));
+  }
 
   // Commit only now that every phase succeeded: a failed iteration must
   // leave the epoch accumulators and the iteration counter untouched so a
@@ -601,9 +593,9 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
       }
     }
 
-    obs::TraceSpan epoch_span("trainer/epoch", "trainer");
+    obs::Span epoch_span({.trace = "trainer/epoch", .category = "trainer"});
     const double virtual_epoch_start = virtual_seconds_;
-    const double wall_start = NowSeconds();
+    const double wall_start = obs::MonotonicSeconds();
     const CommStats comm_start = total_comm_;
     iterator.StartEpoch(epoch);
 
@@ -669,7 +661,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
                       static_cast<double>(test.NumSamples());
     m.test_top5_accuracy = static_cast<double>(eval.correct_top5) /
                            static_cast<double>(test.NumSamples());
-    wall_seconds_ += NowSeconds() - wall_start;
+    wall_seconds_ += obs::MonotonicSeconds() - wall_start;
     m.wall_seconds = wall_seconds_;
     m.virtual_seconds = virtual_seconds_;
     m.comm = total_comm_;
@@ -682,7 +674,8 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
 
     if (obs::MetricsEnabled()) {
       obs::Count("trainer/epochs");
-      obs::Observe("trainer/epoch_seconds", NowSeconds() - wall_start);
+      obs::Observe("trainer/epoch_seconds",
+                   obs::MonotonicSeconds() - wall_start);
     }
     epoch_span.set_virtual_range(virtual_epoch_start, virtual_seconds_);
     obs::RecordEntry("epoch", EpochMetricsToJson(m));
@@ -820,8 +813,8 @@ Status SyncTrainer::Recover(const Status& failure, const Batch& batch,
 }
 
 EvalResult SyncTrainer::Evaluate(const Dataset& dataset) {
-  obs::ScopedTimer eval_timer("trainer/eval_seconds");
-  obs::TraceSpan eval_span("trainer/eval", "trainer");
+  obs::Span eval_span({.histogram = "trainer/eval_seconds",
+                       .trace = "trainer/eval", .category = "trainer"});
   EvalResult total;
   Network& net = replicas_[0];
   const int64_t batch_size = options_.eval_batch_size;

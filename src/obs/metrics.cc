@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/strings.h"
@@ -72,10 +71,10 @@ MetricsRegistry::MetricsRegistry(bool enabled) : enabled_(enabled) {}
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const kRegistry = [] {
-    const char* env = std::getenv("LPSGD_OBS");
-    const bool enabled =
-        env != nullptr && env[0] != '\0' && std::strtol(env, nullptr, 10) != 0;
-    return new MetricsRegistry(enabled);
+    auto* registry = new MetricsRegistry(/*enabled=*/false);
+    registry->span_sink_ = span_internal::kMetricsSink;
+    registry->set_enabled(span_internal::EnvFlagEnabled("LPSGD_OBS"));
+    return registry;
   }();
   return *kRegistry;
 }

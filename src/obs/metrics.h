@@ -24,6 +24,7 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "obs/json.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace obs {
@@ -75,6 +76,7 @@ class MetricsRegistry {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
+    if (span_sink_ != 0) span_internal::SetSinkLive(span_sink_, enabled);
   }
 
   // --- Mutation (no-ops while disabled) ---------------------------------
@@ -133,6 +135,7 @@ class MetricsRegistry {
   };
 
   std::atomic<bool> enabled_;
+  uint32_t span_sink_ = 0;  // the global registry's obs::Span sink bit
   mutable Mutex mu_;
   std::map<std::string, int64_t, std::less<>> counters_ LPSGD_GUARDED_BY(mu_);
   std::map<std::string, double, std::less<>> gauges_ LPSGD_GUARDED_BY(mu_);
@@ -152,29 +155,8 @@ inline void Observe(std::string_view name, double value) {
 }
 inline bool MetricsEnabled() { return MetricsRegistry::Global().enabled(); }
 
-// Monotonic wall clock in seconds (shared by timers and the tracer).
+// Monotonic wall clock in seconds (shared by obs::Span and the tracer).
 double MonotonicSeconds();
-
-// RAII timer: on destruction records the elapsed wall seconds into
-// histogram `name` of the global registry. When the registry is disabled
-// at construction the clock is never read.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string_view name)
-      : name_(name),
-        active_(MetricsEnabled()),
-        start_(active_ ? MonotonicSeconds() : 0.0) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (active_) Observe(name_, MonotonicSeconds() - start_);
-  }
-
- private:
-  std::string_view name_;
-  bool active_;
-  double start_;
-};
 
 }  // namespace obs
 }  // namespace lpsgd

@@ -90,10 +90,10 @@ Profiler::Profiler(bool enabled) : enabled_(enabled) {}
 
 Profiler& Profiler::Global() {
   static Profiler* const kProfiler = [] {
-    const char* env = std::getenv("LPSGD_PROFILE");
-    const bool enabled =
-        env != nullptr && env[0] != '\0' && std::strtol(env, nullptr, 10) != 0;
-    return new Profiler(enabled);
+    auto* profiler = new Profiler(/*enabled=*/false);
+    profiler->span_sink_ = span_internal::kProfileSink;
+    profiler->set_enabled(span_internal::EnvFlagEnabled("LPSGD_PROFILE"));
+    return profiler;
   }();
   return *kProfiler;
 }

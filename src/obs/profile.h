@@ -7,13 +7,13 @@
 // a training step's time go as communication precision drops — by folding
 // scoped phase measurements (forward, backward, optimizer, encode, wire,
 // decode, sum, retry) into one TimeBreakdown per step, in both wall and
-// virtual time. Producers accumulate into per-thread-slot PhaseTimes
-// scratch (a POD struct of fixed arrays, so the enabled path stays
-// zero-allocation under the LPSGD_HOT_PATH lint) and merge serially into
-// the global Profiler at step boundaries. Like the metrics registry, the
-// global profiler starts disabled and every PhaseTimer costs exactly one
-// relaxed atomic load while it stays so (no clock reads). Enable
-// programmatically or with the LPSGD_PROFILE environment variable.
+// virtual time. Producers time their phases with obs::Span (obs/span.h)
+// into per-thread-slot PhaseTimes scratch (a POD struct of fixed arrays,
+// so the enabled path stays zero-allocation under the LPSGD_HOT_PATH lint)
+// and merge serially into the global Profiler at step boundaries. Like the
+// metrics registry, the global profiler starts disabled, and while it
+// stays so a phase span costs one relaxed atomic load and no clock read.
+// Enable programmatically or with the LPSGD_PROFILE environment variable.
 //
 // The flight recorder keeps a fixed-capacity ring of recent spans plus
 // tracked-counter deltas, and dumps the whole history as one JSON document
@@ -37,76 +37,13 @@
 #include "base/thread_annotations.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace obs {
 
-// The phases one synchronous training step decomposes into (Algorithm 1:
-// local compute, encode, exchange, decode, aggregate, update — plus the
-// retry layer's bookkeeping). Plain enum: values index fixed arrays.
-enum ProfilePhase : int {
-  kPhaseForward = 0,   // input slicing + forward pass + loss
-  kPhaseBackward = 1,  // backward pass
-  kPhaseOptimizer = 2, // gradient scaling + momentum step
-  kPhaseEncode = 3,    // codec Encode kernels
-  kPhaseWire = 4,      // wall: host copies standing in for the wire;
-                       // virtual: the cost model's comm_seconds
-  kPhaseDecode = 5,    // codec Decode kernels
-  kPhaseSum = 6,       // aggregate summation + exchange staging
-  kPhaseRetry = 7,     // retry snapshots/restores; virtual: backoff penalty
-  kNumProfilePhases = 8,
-};
-
 // "forward", "backward", ... (stable names used in JSON and tables).
 const char* ProfilePhaseName(int phase);
-
-// Per-slot phase accumulator: fixed POD arrays only, so instances may live
-// in hot-path workspaces and be written from LPSGD_HOT_PATH regions
-// without allocating. One PhaseTimes is single-threaded scratch — keep one
-// per thread-pool slot (ThreadPool::CurrentSlot()) and merge serially.
-struct PhaseTimes {
-  double wall[kNumProfilePhases] = {};
-  double virt[kNumProfilePhases] = {};
-  int64_t calls[kNumProfilePhases] = {};
-
-  void Clear() {
-    for (int p = 0; p < kNumProfilePhases; ++p) {
-      wall[p] = 0.0;
-      virt[p] = 0.0;
-      calls[p] = 0;
-    }
-  }
-
-  LPSGD_HOT_PATH
-  void Add(int phase, double wall_seconds) {
-    wall[phase] += wall_seconds;
-    calls[phase] += 1;
-  }
-
-  void AddVirtual(int phase, double virtual_seconds) {
-    virt[phase] += virtual_seconds;
-  }
-
-  void Merge(const PhaseTimes& other) {
-    for (int p = 0; p < kNumProfilePhases; ++p) {
-      wall[p] += other.wall[p];
-      virt[p] += other.virt[p];
-      calls[p] += other.calls[p];
-    }
-  }
-
-  double WallTotal() const {
-    double total = 0.0;
-    for (int p = 0; p < kNumProfilePhases; ++p) total += wall[p];
-    return total;
-  }
-
-  double VirtualTotal() const {
-    double total = 0.0;
-    for (int p = 0; p < kNumProfilePhases; ++p) total += virt[p];
-    return total;
-  }
-};
 
 // One step's (or an aggregate's) attributed time. wall_total is the
 // measured BeginStep..EndStep wall span; AttributedWall() is the sum of
@@ -153,6 +90,7 @@ class Profiler {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
+    if (span_sink_ != 0) span_internal::SetSinkLive(span_sink_, enabled);
   }
 
   // --- Step lifecycle (no-ops while disabled) ---------------------------
@@ -198,6 +136,7 @@ class Profiler {
   static constexpr size_t kMaxStepHistory = 4096;
 
   std::atomic<bool> enabled_;
+  uint32_t span_sink_ = 0;  // the global profiler's obs::Span sink bit
   mutable Mutex mu_;
   bool step_open_ LPSGD_GUARDED_BY(mu_) = false;
   int64_t current_step_ LPSGD_GUARDED_BY(mu_) = -1;
@@ -212,31 +151,6 @@ class Profiler {
 };
 
 inline bool ProfileEnabled() { return Profiler::Global().enabled(); }
-
-// RAII phase span writing into a per-slot PhaseTimes. While the global
-// profiler is disabled the sink is dropped at construction and the clock
-// is never read — the whole cost is one relaxed load per scope, which the
-// overhead test bounds at <= 1% on the codec micro-bench.
-class PhaseTimer {
- public:
-  LPSGD_HOT_PATH
-  PhaseTimer(PhaseTimes* sink, int phase)
-      : sink_(ProfileEnabled() ? sink : nullptr),
-        phase_(phase),
-        start_(sink_ != nullptr ? MonotonicSeconds() : 0.0) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  LPSGD_HOT_PATH
-  ~PhaseTimer() {
-    if (sink_ != nullptr) sink_->Add(phase_, MonotonicSeconds() - start_);
-  }
-
- private:
-  PhaseTimes* sink_;
-  int phase_;
-  double start_;
-};
 
 // One flight-recorder ring entry. Fixed-size POD — recording never
 // allocates; labels longer than the field are truncated.

@@ -1,11 +1,9 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "obs/trace.h"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "base/strings.h"
-#include "obs/metrics.h"
 
 namespace lpsgd {
 namespace obs {
@@ -14,55 +12,32 @@ Tracer::Tracer(bool enabled) : enabled_(enabled) {}
 
 Tracer& Tracer::Global() {
   static Tracer* const kTracer = [] {
-    const char* env = std::getenv("LPSGD_TRACE");
-    const bool enabled =
-        env != nullptr && env[0] != '\0' && std::strtol(env, nullptr, 10) != 0;
-    return new Tracer(enabled);
+    auto* tracer = new Tracer(/*enabled=*/false);
+    tracer->span_sink_ = span_internal::kTraceSink;
+    tracer->set_enabled(span_internal::EnvFlagEnabled("LPSGD_TRACE"));
+    return tracer;
   }();
   return *kTracer;
 }
 
-uint64_t Tracer::Begin(std::string_view name, std::string_view category) {
-  if (!enabled()) return 0;
-  const double now = MonotonicSeconds();
+void Tracer::RecordSpan(std::string_view name, std::string_view category,
+                        double wall_start, double wall_duration,
+                        double virtual_start, double virtual_end,
+                        int64_t bytes) {
+  if (!enabled()) return;
   MutexLock lock(mu_);
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
-    return 0;
+    return;
   }
-  TraceEvent event;
+  TraceEvent& event = events_.emplace_back();
   event.name.assign(name);
   event.category.assign(category);
-  event.wall_start = now;
-  events_.push_back(std::move(event));
-  return events_.size();  // index + 1; 0 stays the "disabled" handle
-}
-
-void Tracer::End(uint64_t handle) {
-  if (handle == 0) return;
-  const double now = MonotonicSeconds();
-  MutexLock lock(mu_);
-  if (handle > events_.size()) return;  // Reset() since Begin()
-  TraceEvent& event = events_[handle - 1];
-  event.wall_duration = now - event.wall_start;
-}
-
-void Tracer::EndWithVirtual(uint64_t handle, double virtual_start,
-                            double virtual_end) {
-  if (handle == 0) return;
-  End(handle);
-  MutexLock lock(mu_);
-  if (handle > events_.size()) return;
-  events_[handle - 1].virtual_start = virtual_start;
-  events_[handle - 1].virtual_end = virtual_end;
-}
-
-void Tracer::EndWithBytes(uint64_t handle, int64_t bytes) {
-  if (handle == 0) return;
-  End(handle);
-  MutexLock lock(mu_);
-  if (handle > events_.size()) return;
-  events_[handle - 1].arg_bytes = bytes;
+  event.wall_start = wall_start;
+  event.wall_duration = wall_duration;
+  event.virtual_start = virtual_start;
+  event.virtual_end = virtual_end;
+  event.arg_bytes = bytes;
 }
 
 size_t Tracer::event_count() const {

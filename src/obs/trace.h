@@ -1,12 +1,13 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// Scoped-span tracer with dual clocks. Each span records its wall-clock
-// start/duration (host time) and, when the caller supplies them, the
-// simulator's virtual-clock start/end — so a trace of one training run
-// shows both where the host spent its time and where the modeled cluster
-// would have spent its (Figures 6-9 are exactly this split, per
-// iteration). Traces export as Chrome trace_event JSON ("X" complete
-// events) loadable in chrome://tracing or https://ui.perfetto.dev.
+// Span tracer with dual clocks. Each obs::Span (obs/span.h) that names a
+// trace event records its wall-clock start/duration (host time) and, when
+// the site supplies them, the simulator's virtual-clock start/end — so a
+// trace of one training run shows both where the host spent its time and
+// where the modeled cluster would have spent its (Figures 6-9 are exactly
+// this split, per iteration). Traces export as Chrome trace_event JSON
+// ("X" complete events) loadable in chrome://tracing or
+// https://ui.perfetto.dev.
 //
 // Like the metrics registry, the global tracer is disabled by default and
 // every hook early-exits on one relaxed atomic load. Enable
@@ -25,6 +26,7 @@
 #include "base/status.h"
 #include "base/thread_annotations.h"
 #include "obs/json.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace obs {
@@ -53,18 +55,18 @@ class Tracer {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
+    if (span_sink_ != 0) span_internal::SetSinkLive(span_sink_, enabled);
   }
 
-  // Opens a span; returns an opaque handle (0 while disabled — every End*
-  // overload ignores handle 0, so callers never branch themselves).
-  uint64_t Begin(std::string_view name, std::string_view category)
+  // Appends one closed obs::Span; a negative virtual_start or bytes means
+  // no such annotation. No-op while disabled; dropped past kMaxEvents.
+  void RecordSpan(std::string_view name, std::string_view category,
+                  double wall_start, double wall_duration,
+                  double virtual_start, double virtual_end, int64_t bytes)
       LPSGD_EXCLUDES(mu_);
-  void End(uint64_t handle) LPSGD_EXCLUDES(mu_);
-  // Ends with a virtual-clock annotation [virtual_start, virtual_end].
-  void EndWithVirtual(uint64_t handle, double virtual_start,
-                      double virtual_end) LPSGD_EXCLUDES(mu_);
-  // Ends with a payload-size annotation (shown in the trace viewer).
-  void EndWithBytes(uint64_t handle, int64_t bytes) LPSGD_EXCLUDES(mu_);
+  // Purity exemption: spans call it only while tracing is on, and a traced
+  // run stores one heap event per span by design.
+  LPSGD_HOT_CALLEE_OK(Tracer::RecordSpan);
 
   size_t event_count() const LPSGD_EXCLUDES(mu_);
   // Spans dropped after the in-memory cap (kMaxEvents) was reached.
@@ -80,54 +82,17 @@ class Tracer {
   [[nodiscard]] Status WriteChromeTraceFile(const std::string& path) const;
 
  private:
-  // Spans held in memory before new Begin() calls are dropped (~96 MB
-  // worst case; a trace this big no longer loads in chrome://tracing
+  // Spans held in memory before new RecordSpan() calls are dropped (~96
+  // MB worst case; a trace this big no longer loads in chrome://tracing
   // anyway).
   static constexpr size_t kMaxEvents = 1u << 20;
 
   std::atomic<bool> enabled_;
+  uint32_t span_sink_ = 0;  // the global tracer's obs::Span sink bit
   mutable Mutex mu_;
-  // handle = index + 1
   std::vector<TraceEvent> events_ LPSGD_GUARDED_BY(mu_);
   int64_t dropped_ LPSGD_GUARDED_BY(mu_) = 0;
 };
-
-// RAII span against the global tracer. Construction opens, destruction
-// closes; annotations may be attached in between.
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string_view name,
-                     std::string_view category = "lpsgd")
-      : handle_(Tracer::Global().Begin(name, category)) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  ~TraceSpan() {
-    if (handle_ == 0) return;
-    if (has_virtual_) {
-      Tracer::Global().EndWithVirtual(handle_, virtual_start_, virtual_end_);
-    } else if (bytes_ >= 0) {
-      Tracer::Global().EndWithBytes(handle_, bytes_);
-    } else {
-      Tracer::Global().End(handle_);
-    }
-  }
-
-  void set_virtual_range(double virtual_start, double virtual_end) {
-    has_virtual_ = true;
-    virtual_start_ = virtual_start;
-    virtual_end_ = virtual_end;
-  }
-  void set_bytes(int64_t bytes) { bytes_ = bytes; }
-
- private:
-  uint64_t handle_;
-  bool has_virtual_ = false;
-  double virtual_start_ = 0.0;
-  double virtual_end_ = 0.0;
-  int64_t bytes_ = -1;
-};
-
-inline bool TraceEnabled() { return Tracer::Global().enabled(); }
 
 }  // namespace obs
 }  // namespace lpsgd

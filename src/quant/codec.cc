@@ -7,6 +7,7 @@
 #include "base/bit_packing.h"
 #include "base/logging.h"
 #include "base/strings.h"
+#include "obs/metrics.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
 
@@ -87,26 +88,7 @@ StatusOr<CodecSpec> CodecSpec::Parse(const std::string& text) {
   return spec;
 }
 
-StatusOr<std::unique_ptr<GradientCodec>> CreateCodec(const CodecSpec& spec) {
-  return spec.Create();
-}
-
-StatusOr<CodecSpec> ParseCodecSpec(const std::string& text) {
-  return CodecSpec::Parse(text);
-}
-
 namespace codec_internal {
-
-CodecObsScope::~CodecObsScope() {
-  if (!active_) return;
-  obs::Observe(encode_ ? "quant/encode_seconds" : "quant/decode_seconds",
-               obs::MonotonicSeconds() - start_);
-  obs::Count(StrCat("quant/", codec_,
-                    encode_ ? "/encode_calls" : "/decode_calls"));
-  if (encoded_ != nullptr) {
-    obs::Count("quant/encode_bytes", static_cast<int64_t>(encoded_->size()));
-  }
-}
 
 void SealWireBlob(uint8_t* blob, int64_t payload_bytes) {
   const uint32_t hash = Fnv1a32(blob, payload_bytes);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "base/statusor.h"
-#include "obs/metrics.h"
+#include "obs/span.h"
 #include "tensor/shape.h"
 
 namespace lpsgd {
@@ -175,40 +175,26 @@ CodecSpec TernGradSpec(int64_t bucket_size = 0, double clip = 0.0);
 CodecSpec NuqsgdSpec(int bits);           // exponential levels, L2 norm
 CodecSpec EcqSgdSpec(int bits);           // QSGD + error feedback
 
-// Free-function forwarders kept for older call sites; prefer the
-// CodecSpec::Create / CodecSpec::Parse members.
-[[nodiscard]] StatusOr<std::unique_ptr<GradientCodec>> CreateCodec(
-    const CodecSpec& spec);
-[[nodiscard]] StatusOr<CodecSpec> ParseCodecSpec(const std::string& text);
-
 namespace codec_internal {
 
-// Instrumentation guard placed at the top of every codec Encode/Decode:
-// times the call into the quant/encode_seconds or quant/decode_seconds
-// histogram, bumps quant/<codec>/{encode,decode}_calls, and (for encodes)
-// accumulates quant/encode_bytes from the produced blob. All of it no-ops
-// behind one branch while the global metrics registry is disabled, keeping
-// the codec hot path unobserved-run clean.
-class CodecObsScope {
- public:
-  CodecObsScope(std::string_view codec, bool encode,
-                const std::vector<uint8_t>* encoded = nullptr)
-      : codec_(codec),
-        encode_(encode),
-        encoded_(encoded),
-        active_(obs::MetricsEnabled()),
-        start_(active_ ? obs::MonotonicSeconds() : 0.0) {}
-  CodecObsScope(const CodecObsScope&) = delete;
-  CodecObsScope& operator=(const CodecObsScope&) = delete;
-  ~CodecObsScope();
+// The span sinks of every codec Encode: quant/encode_seconds, the codec's
+// `calls` counter (quant/<codec>/encode_calls), quant/encode_bytes (the
+// size of the blob `out` at close) and the workspace's encode phase.
+inline obs::SpanSinks EncodeSinks(std::string_view calls,
+                                  obs::PhaseTimes* phases,
+                                  const std::vector<uint8_t>* out) {
+  return {.histogram = "quant/encode_seconds", .counter = calls,
+          .bytes_counter = "quant/encode_bytes", .phases = phases,
+          .phase = obs::kPhaseEncode, .bytes_of = out};
+}
 
- private:
-  std::string_view codec_;
-  bool encode_;
-  const std::vector<uint8_t>* encoded_;
-  bool active_;
-  double start_;
-};
+// The span sinks of every codec Decode: quant/decode_seconds, `calls`
+// (quant/<codec>/decode_calls) and the workspace's decode phase.
+inline obs::SpanSinks DecodeSinks(std::string_view calls,
+                                  obs::PhaseTimes* phases) {
+  return {.histogram = "quant/decode_seconds", .counter = calls,
+          .phases = phases, .phase = obs::kPhaseDecode};
+}
 
 // Every encoded blob ends with a trailing integrity word: the little-endian
 // FNV-1a-32 hash (base/bit_packing.h) of all payload bytes before it.

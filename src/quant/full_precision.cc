@@ -5,7 +5,7 @@
 
 #include "base/logging.h"
 #include "base/thread_annotations.h"
-#include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
 
@@ -26,9 +26,8 @@ void FullPrecisionCodec::Encode(const float* grad, const Shape& shape,
                                 std::vector<float>* /*error*/,
                                 CodecWorkspace* workspace,
                                 std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("full_precision", /*encode=*/true,
-                                          out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::EncodeSinks(
+      "quant/full_precision/encode_calls", &workspace->phases, out));
   const int64_t payload =
       shape.element_count() * static_cast<int64_t>(sizeof(float));
   uint8_t* blob = quant_internal::EnsureSize(
@@ -42,9 +41,8 @@ Status FullPrecisionCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
                                   const Shape& shape,
                                   CodecWorkspace* workspace,
                                   float* out) const {
-  codec_internal::CodecObsScope obs_scope("full_precision",
-                                          /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::DecodeSinks(
+      "quant/full_precision/decode_calls", &workspace->phases));
   const int64_t n = shape.element_count();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "full_precision", bytes, num_bytes, EncodedSizeBytes(shape)));

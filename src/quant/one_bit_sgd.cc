@@ -8,7 +8,7 @@
 #include "base/logging.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
-#include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -68,9 +68,8 @@ void OneBitSgdCodec::Encode(const float* grad, const Shape& shape,
                             std::vector<float>* error,
                             CodecWorkspace* workspace,
                             std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd", /*encode=*/true,
-                                          out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::EncodeSinks(
+      "quant/one_bit_sgd/encode_calls", &workspace->phases, out));
   const int64_t rows = shape.rows();
   const int64_t cols = shape.cols();
   const int64_t n = rows * cols;
@@ -125,8 +124,8 @@ Status OneBitSgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
                               const Shape& shape,
                               CodecWorkspace* workspace,
                               float* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::DecodeSinks(
+      "quant/one_bit_sgd/decode_calls", &workspace->phases));
   const int64_t rows = shape.rows();
   const int64_t cols = shape.cols();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
@@ -177,9 +176,8 @@ void OneBitSgdReshapedCodec::Encode(const float* grad, const Shape& shape,
                                     std::vector<float>* error,
                                     CodecWorkspace* workspace,
                                     std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd_reshaped",
-                                          /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::EncodeSinks(
+      "quant/one_bit_sgd_reshaped/encode_calls", &workspace->phases, out));
   const int64_t n = shape.element_count();
   CHECK(!error_feedback_ || error != nullptr);
   if (error_feedback_) {
@@ -227,9 +225,8 @@ Status OneBitSgdReshapedCodec::Decode(const uint8_t* bytes,
                                       int64_t num_bytes, const Shape& shape,
                                       CodecWorkspace* workspace,
                                       float* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd_reshaped",
-                                          /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::DecodeSinks(
+      "quant/one_bit_sgd_reshaped/decode_calls", &workspace->phases));
   const int64_t n = shape.element_count();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "one_bit_sgd_reshaped", bytes, num_bytes, EncodedSizeBytes(shape)));

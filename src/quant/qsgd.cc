@@ -10,7 +10,7 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -64,8 +64,8 @@ void QsgdCodec::Encode(const float* grad, const Shape& shape,
                        uint64_t stochastic_tag, std::vector<float>* /*error*/,
                        CodecWorkspace* workspace,
                        std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("qsgd", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::EncodeSinks(
+      "quant/qsgd/encode_calls", &workspace->phases, out));
   const int64_t n = shape.element_count();
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
@@ -132,8 +132,8 @@ LPSGD_HOT_PATH
 Status QsgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
                          const Shape& shape, CodecWorkspace* workspace,
                          float* out) const {
-  codec_internal::CodecObsScope obs_scope("qsgd", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::DecodeSinks(
+      "quant/qsgd/decode_calls", &workspace->phases));
   const int64_t n = shape.element_count();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "qsgd", bytes, num_bytes, EncodedSizeBytes(shape)));

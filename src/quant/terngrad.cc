@@ -11,7 +11,7 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -67,8 +67,8 @@ void TernGradCodec::Encode(const float* grad, const Shape& shape,
                            std::vector<float>* /*error*/,
                            CodecWorkspace* workspace,
                            std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("terngrad", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::EncodeSinks(
+      "quant/terngrad/encode_calls", &workspace->phases, out));
   const int64_t n = shape.element_count();
   const int64_t chunks = NumChunks(shape);
   const int64_t len = ChunkLength(n);
@@ -136,8 +136,8 @@ LPSGD_HOT_PATH
 Status TernGradCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
                              const Shape& shape, CodecWorkspace* workspace,
                              float* out) const {
-  codec_internal::CodecObsScope obs_scope("terngrad", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::DecodeSinks(
+      "quant/terngrad/decode_calls", &workspace->phases));
   const int64_t n = shape.element_count();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "terngrad", bytes, num_bytes, EncodedSizeBytes(shape)));

@@ -11,7 +11,7 @@
 #include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
-#include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -61,8 +61,8 @@ void TopKCodec::Encode(const float* grad, const Shape& shape,
                        uint64_t /*stochastic_tag*/,
                        std::vector<float>* error, CodecWorkspace* workspace,
                        std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("topk", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::EncodeSinks(
+      "quant/topk/encode_calls", &workspace->phases, out));
   const int64_t n = shape.element_count();
   CHECK(!error_feedback_ || error != nullptr);
   if (error_feedback_) {
@@ -139,7 +139,7 @@ Status TopKCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
                                              static_cast<size_t>(k));
   LPSGD_RETURN_IF_ERROR(
       DecodeSparse(bytes, num_bytes, shape, workspace, indices, values));
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(&workspace->phases, obs::kPhaseDecode);
   std::fill(out, out + n, 0.0f);
   for (int64_t i = 0; i < k; ++i) {
     out[indices[i]] = values[i];
@@ -151,8 +151,8 @@ LPSGD_HOT_PATH
 Status TopKCodec::DecodeSparse(const uint8_t* bytes, int64_t num_bytes,
                                const Shape& shape, CodecWorkspace* workspace,
                                uint32_t* indices, float* values) const {
-  codec_internal::CodecObsScope obs_scope("topk", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::DecodeSinks(
+      "quant/topk/decode_calls", &workspace->phases));
   const int64_t n = shape.element_count();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "topk", bytes, num_bytes, EncodedSizeBytes(shape)));

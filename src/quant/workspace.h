@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/profile.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 

@@ -109,7 +109,7 @@ StatusOr<PerfEstimate> PerfModel::EstimateInternal(
   // --- Communication: expand the matrix inventory, apply the small-matrix
   // bypass policy, and size each matrix with the codec.
   LPSGD_ASSIGN_OR_RETURN(std::unique_ptr<GradientCodec> codec,
-                         CreateCodec(spec));
+                         spec.Create());
   const bool identity_codec = spec.kind == CodecKind::kFullPrecision;
 
   std::vector<Shape> shapes;

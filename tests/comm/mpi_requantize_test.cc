@@ -171,7 +171,7 @@ TEST(MpiRequantizeTest, WireBytesCountOneRanksGradientOnce) {
     Fixture fixture(1, ranks, 512, 4);
     auto stats = (*agg)->AllReduce(&fixture.slots, 0);
     ASSERT_TRUE(stats.ok());
-    auto codec = CreateCodec(QsgdSpec(4));
+    auto codec = QsgdSpec(4).Create();
     EXPECT_EQ(stats->wire_bytes, (*codec)->EncodedSizeBytes(Shape({512})))
         << ranks;
   }

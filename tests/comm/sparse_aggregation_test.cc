@@ -93,9 +93,9 @@ TEST_P(SparseAggregationThreadTest, NcclScatterAddEqualsDenseSum) {
   // of the per-rank decodes exactly.
   const int threads = GetParam();
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.25");
+  auto spec = CodecSpec::Parse("topk:0.25");
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = spec->Create();
   ASSERT_TRUE(codec.ok());
 
   std::vector<TestMatrix> matrices;
@@ -144,9 +144,9 @@ TEST_P(SparseAggregationThreadTest, MpiScatterAddFeedsRequantizeExactly) {
   // blob and fails the exact compare.
   const int threads = GetParam();
   const int k = 3;
-  auto spec = ParseCodecSpec("topk:0.1");
+  auto spec = CodecSpec::Parse("topk:0.1");
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = spec->Create();
   ASSERT_TRUE(codec.ok());
 
   std::vector<TestMatrix> matrices;
@@ -203,7 +203,7 @@ TEST(SparseAggregationTest, SerialAndParallelBitIdentical) {
   // The whole sparse pipeline must be schedule-invariant: a 4-thread run
   // produces bit-identical buffers and error state to the serial run.
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.25");
+  auto spec = CodecSpec::Parse("topk:0.25");
   ASSERT_TRUE(spec.ok());
 
   auto run = [&](const ExecutionContext& exec, CommPrimitive primitive) {
@@ -245,7 +245,7 @@ TEST(SparseAggregationTest, BypassedMatricesStayFullPrecision) {
   // slot.quantized = false routes a matrix through the dense fp32 pipeline
   // even under a sparse codec: the exchange then computes the exact sum.
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.1");
+  auto spec = CodecSpec::Parse("topk:0.1");
   ASSERT_TRUE(spec.ok());
 
   for (CommPrimitive primitive :
@@ -277,9 +277,9 @@ TEST(SparseAggregationTest, NcclAccountsAllgatherBytes) {
   // Sparse exchange is an allgather: every rank receives every other
   // rank's blob, so the per-matrix payload is k * EncodedSizeBytes.
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.25");
+  auto spec = CodecSpec::Parse("topk:0.25");
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = spec->Create();
   ASSERT_TRUE(codec.ok());
   const Shape shape({1000});
 

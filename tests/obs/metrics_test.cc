@@ -178,20 +178,6 @@ TEST(MetricsRegistryTest, JsonAndTableExportQuantiles) {
   EXPECT_NE(table.find("p99"), std::string::npos);
 }
 
-TEST(ScopedTimerTest, RecordsElapsedIntoGlobalHistogram) {
-  MetricsRegistry& global = MetricsRegistry::Global();
-  const bool was_enabled = global.enabled();
-  global.set_enabled(true);
-  global.Reset();
-  {
-    ScopedTimer timer("test/scoped_seconds");
-  }
-  EXPECT_EQ(global.HistogramFor("test/scoped_seconds").count, 1);
-  EXPECT_GE(global.HistogramFor("test/scoped_seconds").sum, 0.0);
-  global.Reset();
-  global.set_enabled(was_enabled);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace lpsgd

@@ -1,7 +1,6 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "obs/profile.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -10,19 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include "base/logging.h"
-#include "base/rng.h"
 #include "obs/json.h"
-#include "quant/codec.h"
-#include "quant/workspace.h"
-#include "tensor/tensor.h"
 
 namespace lpsgd {
 namespace obs {
 namespace {
 
 // Enables the global profiler for one test and restores it after (the
-// PhaseTimer fast path consults the global flag, not a local instance).
+// EndStep flight-recorder hook consults the global instances).
 class ProfileGuard {
  public:
   ProfileGuard() : was_(Profiler::Global().enabled()) {
@@ -239,78 +233,6 @@ TEST(ProfilerTest, WriteFilesProduceParseableJson) {
     EXPECT_TRUE(JsonValue::Parse(contents.str()).ok()) << path;
     std::remove(path.c_str());
   }
-}
-
-TEST(PhaseTimerTest, RecordsIntoSinkWhileGloballyEnabled) {
-  ProfileGuard guard;
-  PhaseTimes times;
-  {
-    PhaseTimer timer(&times, kPhaseEncode);
-  }
-  EXPECT_EQ(times.calls[kPhaseEncode], 1);
-  EXPECT_GE(times.wall[kPhaseEncode], 0.0);
-}
-
-TEST(PhaseTimerTest, DisabledTimerNeverTouchesSink) {
-  ASSERT_FALSE(ProfileEnabled());
-  PhaseTimes times;
-  {
-    PhaseTimer timer(&times, kPhaseEncode);
-  }
-  EXPECT_EQ(times.calls[kPhaseEncode], 0);
-  EXPECT_DOUBLE_EQ(times.wall[kPhaseEncode], 0.0);
-}
-
-// The acceptance bound from the ISSUE: with the profiler disabled, the
-// PhaseTimer instrumentation on the codec hot path costs <= 1% of encode
-// throughput. Both loops are measured min-of-trials (the minimum is the
-// noise-free estimate); the instrumented loop adds a timer per encode
-// exactly like the codec hot paths do.
-TEST(PhaseTimerTest, DisabledOverheadOnEncodeHotPathIsUnderOnePercent) {
-  ASSERT_FALSE(ProfileEnabled());
-  const int64_t n = 3 << 17;  // ~393k elements, ~1 ms per encode
-  Tensor grad(Shape({n}));
-  Rng rng(42);
-  grad.FillGaussian(&rng, 1.0f);
-  auto codec = CreateCodec(QsgdSpec(4));
-  ASSERT_TRUE(codec.ok());
-  CodecWorkspace workspace;
-  std::vector<uint8_t> blob;
-  PhaseTimes times;
-
-  constexpr int kTrials = 9;
-  constexpr int kEncodesPerTrial = 4;
-  uint64_t tag = 0;
-  // Warm up the workspace/blob capacities out of the measurement.
-  (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr, &workspace,
-                   &blob);
-
-  // Interleave the two variants so machine noise (e.g. the rest of the
-  // test suite running in parallel) hits both minimum pools symmetrically.
-  double plain = 1e300;
-  double instrumented = 1e300;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    double start = MonotonicSeconds();
-    for (int i = 0; i < kEncodesPerTrial; ++i) {
-      (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr,
-                       &workspace, &blob);
-    }
-    plain = std::min(plain, MonotonicSeconds() - start);
-
-    start = MonotonicSeconds();
-    for (int i = 0; i < kEncodesPerTrial; ++i) {
-      PhaseTimer timer(&times, kPhaseEncode);
-      (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr,
-                       &workspace, &blob);
-    }
-    instrumented = std::min(instrumented, MonotonicSeconds() - start);
-  }
-
-  EXPECT_EQ(times.calls[kPhaseEncode], 0) << "timers ran while disabled";
-  // <= 1% relative plus a tiny absolute guard for clock granularity.
-  EXPECT_LE(instrumented, plain * 1.01 + 20e-6)
-      << "disabled-profiler overhead above 1%: plain " << plain
-      << "s vs instrumented " << instrumented << "s";
 }
 
 TEST(FlightRecorderTest, DisabledRecorderDropsRecords) {

@@ -13,45 +13,34 @@ namespace {
 
 TEST(TracerTest, RecordsSpansWithAnnotations) {
   Tracer tracer;
-  const uint64_t plain = tracer.Begin("iteration", "trainer");
-  tracer.End(plain);
-  const uint64_t with_virtual = tracer.Begin("allreduce", "comm");
-  tracer.EndWithVirtual(with_virtual, 1.0, 1.5);
-  const uint64_t with_bytes = tracer.Begin("encode", "quant");
-  tracer.EndWithBytes(with_bytes, 4096);
+  tracer.RecordSpan("iteration", "trainer", 10.0, 0.5, -1.0, -1.0, -1);
+  tracer.RecordSpan("allreduce", "comm", 10.5, 0.25, 1.0, 1.5, -1);
+  tracer.RecordSpan("encode", "quant", 10.75, 0.125, -1.0, -1.0, 4096);
 
   const std::vector<TraceEvent> events = tracer.Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].name, "iteration");
   EXPECT_EQ(events[0].category, "trainer");
-  EXPECT_GE(events[0].wall_duration, 0.0);
+  EXPECT_DOUBLE_EQ(events[0].wall_start, 10.0);
+  EXPECT_DOUBLE_EQ(events[0].wall_duration, 0.5);
+  EXPECT_LT(events[0].virtual_start, 0.0);
+  EXPECT_EQ(events[0].arg_bytes, -1);
   EXPECT_DOUBLE_EQ(events[1].virtual_start, 1.0);
   EXPECT_DOUBLE_EQ(events[1].virtual_end, 1.5);
   EXPECT_EQ(events[2].arg_bytes, 4096);
 }
 
-TEST(TracerTest, DisabledTracerHandsOutNullHandles) {
+TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer tracer(/*enabled=*/false);
-  const uint64_t handle = tracer.Begin("x", "y");
-  EXPECT_EQ(handle, 0u);
-  tracer.End(handle);  // must be a safe no-op
-  EXPECT_EQ(tracer.event_count(), 0u);
-}
-
-TEST(TracerTest, HandlesFromBeforeResetAreIgnored) {
-  Tracer tracer;
-  const uint64_t stale = tracer.Begin("pre-reset", "t");
-  tracer.Reset();
-  tracer.End(stale);  // stale handle: must not touch the emptied buffer
+  tracer.RecordSpan("x", "y", 0.0, 1.0, -1.0, -1.0, -1);
   EXPECT_EQ(tracer.event_count(), 0u);
 }
 
 TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
   Tracer tracer;
-  const uint64_t a = tracer.Begin("iteration", "trainer");
-  tracer.EndWithVirtual(a, 0.0, 0.25);
-  const uint64_t b = tracer.Begin("matrix \"W0\"\n", "comm");  // escapes
-  tracer.EndWithBytes(b, 512);
+  tracer.RecordSpan("iteration", "trainer", 1.0, 0.5, 0.0, 0.25, -1);
+  tracer.RecordSpan("matrix \"W0\"\n", "comm", 1.5, 0.5, -1.0, -1.0,
+                    512);  // escapes
 
   std::ostringstream os;
   ASSERT_TRUE(tracer.WriteChromeTrace(os).ok());
@@ -76,24 +65,6 @@ TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_DOUBLE_EQ(
       events[0].At("args").At("virtual_duration_s").AsDouble(), 0.25);
   EXPECT_EQ(events[1].At("args").At("bytes").AsInt(), 512);
-}
-
-TEST(TraceSpanTest, RaiiSpanLandsInGlobalTracer) {
-  Tracer& global = Tracer::Global();
-  const bool was_enabled = global.enabled();
-  global.set_enabled(true);
-  global.Reset();
-  {
-    TraceSpan span("scoped", "test");
-    span.set_virtual_range(2.0, 3.0);
-  }
-  const std::vector<TraceEvent> events = global.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "scoped");
-  EXPECT_DOUBLE_EQ(events[0].virtual_start, 2.0);
-  EXPECT_DOUBLE_EQ(events[0].virtual_end, 3.0);
-  global.Reset();
-  global.set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -152,15 +152,15 @@ TEST(AdaptiveQsgdTest, FactoryParserAndLabels) {
   const CodecSpec spec = AdaptiveQsgdSpec(4);
   EXPECT_EQ(spec.Label(), "AdaptiveQSGD 4bit (b=512)");
   EXPECT_EQ(spec.ShortLabel(), "AQ4");
-  EXPECT_TRUE(CreateCodec(spec).ok());
+  EXPECT_TRUE(spec.Create().ok());
 
-  auto parsed = ParseCodecSpec("aq8:1024");
+  auto parsed = CodecSpec::Parse("aq8:1024");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->kind, CodecKind::kQsgdAdaptive);
   EXPECT_EQ(parsed->bits, 8);
   EXPECT_EQ(parsed->bucket_size, 1024);
-  EXPECT_FALSE(ParseCodecSpec("aq1").ok());
-  EXPECT_FALSE(ParseCodecSpec("aq").ok());
+  EXPECT_FALSE(CodecSpec::Parse("aq1").ok());
+  EXPECT_FALSE(CodecSpec::Parse("aq").ok());
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST(CodecFuzzTest, WireContractHoldsForRandomInputs) {
   for (int trial = 0; trial < 200; ++trial) {
     const CodecSpec& spec =
         specs[static_cast<size_t>(rng.NextUint64(specs.size()))];
-    auto codec = CreateCodec(spec);
+    auto codec = spec.Create();
     ASSERT_TRUE(codec.ok());
 
     const Shape shape = RandomShape(&rng);
@@ -125,7 +125,7 @@ TEST(CodecFuzzTest, WireContractHoldsForRandomInputs) {
 TEST(CodecFuzzTest, DeterministicGivenSameInputsAndTag) {
   Rng rng(0xdede);
   for (const CodecSpec& spec : AllSpecs()) {
-    auto codec = CreateCodec(spec);
+    auto codec = spec.Create();
     ASSERT_TRUE(codec.ok());
     const Shape shape({13, 31});
     Tensor grad(shape);
@@ -153,7 +153,7 @@ TEST(CodecFuzzTest, QuantizedDecodeIsIdempotentForDeterministicCodecs) {
   // values).
   CodecSpec spec = OneBitSgdReshapedSpec(32);
   spec.error_feedback = false;
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
 
   Rng rng(4);

@@ -28,33 +28,33 @@ TEST(CodecSpecTest, PaperBucketSizes) {
   EXPECT_EQ(OneBitSgdReshapedSpec().bucket_size, 64);
 }
 
-TEST(CreateCodecTest, CreatesEveryKind) {
+TEST(CodecSpecCreateTest, CreatesEveryKind) {
   for (const CodecSpec& spec :
        {FullPrecisionSpec(), QsgdSpec(2), QsgdSpec(4), QsgdSpec(8),
         QsgdSpec(16), OneBitSgdSpec(), OneBitSgdReshapedSpec(64)}) {
-    auto codec = CreateCodec(spec);
+    auto codec = spec.Create();
     ASSERT_TRUE(codec.ok()) << spec.Label();
     EXPECT_FALSE((*codec)->Name().empty());
   }
 }
 
-TEST(CreateCodecTest, RejectsInvalidSpecs) {
+TEST(CodecSpecCreateTest, RejectsInvalidSpecs) {
   CodecSpec bad_bits = QsgdSpec(4);
   bad_bits.bits = 1;
-  EXPECT_FALSE(CreateCodec(bad_bits).ok());
+  EXPECT_FALSE(bad_bits.Create().ok());
   bad_bits.bits = 33;
-  EXPECT_FALSE(CreateCodec(bad_bits).ok());
+  EXPECT_FALSE(bad_bits.Create().ok());
 
   CodecSpec bad_bucket = QsgdSpec(4);
   bad_bucket.bucket_size = 0;
-  EXPECT_FALSE(CreateCodec(bad_bucket).ok());
+  EXPECT_FALSE(bad_bucket.Create().ok());
 
   CodecSpec bad_reshaped = OneBitSgdReshapedSpec(0);
-  EXPECT_FALSE(CreateCodec(bad_reshaped).ok());
+  EXPECT_FALSE(bad_reshaped.Create().ok());
 }
 
 TEST(FullPrecisionCodecTest, RoundTripsExactly) {
-  auto codec = CreateCodec(FullPrecisionSpec());
+  auto codec = FullPrecisionSpec().Create();
   ASSERT_TRUE(codec.ok());
   const Shape shape({7, 5});
   Tensor grad(shape);
@@ -80,7 +80,7 @@ TEST(EncodedSizeTest, QsgdSizeFormula) {
   // n elements at `bits` bits packed into 32-bit words + one float per
   // bucket.
   for (int bits : {2, 4, 8, 16}) {
-    auto codec = CreateCodec(QsgdSpec(bits));
+    auto codec = QsgdSpec(bits).Create();
     ASSERT_TRUE(codec.ok());
     const Shape shape({1000, 100});  // n = 100000
     const int64_t n = 100000;
@@ -95,7 +95,7 @@ TEST(EncodedSizeTest, QsgdSizeFormula) {
 }
 
 TEST(EncodedSizeTest, OneBitColumnSizeFormula) {
-  auto codec = CreateCodec(OneBitSgdSpec());
+  auto codec = OneBitSgdSpec().Create();
   ASSERT_TRUE(codec.ok());
   // Dense-like matrix: rows=4096, cols=100: per column 2 floats +
   // ceil(4096/32) words.
@@ -117,8 +117,8 @@ TEST(EncodedSizeTest, OneBitColumnSizeFormula) {
 }
 
 TEST(EncodedSizeTest, ReshapedOneBitBeatsColumnVariantOnConvShapes) {
-  auto column = CreateCodec(OneBitSgdSpec());
-  auto reshaped = CreateCodec(OneBitSgdReshapedSpec(64));
+  auto column = OneBitSgdSpec().Create();
+  auto reshaped = OneBitSgdReshapedSpec(64).Create();
   ASSERT_TRUE(column.ok());
   ASSERT_TRUE(reshaped.ok());
   const Shape conv({3, 100000});
@@ -130,10 +130,10 @@ TEST(EncodedSizeTest, CompressionRatiosOrdering) {
   // More bits -> more bytes; all quantized codecs beat full precision on
   // bucket-friendly shapes.
   const Shape shape({512, 512});
-  auto fp = CreateCodec(FullPrecisionSpec());
+  auto fp = FullPrecisionSpec().Create();
   int64_t previous = 0;
   for (int bits : {2, 4, 8, 16}) {
-    auto codec = CreateCodec(QsgdSpec(bits));
+    auto codec = QsgdSpec(bits).Create();
     ASSERT_TRUE(codec.ok());
     const int64_t size = (*codec)->EncodedSizeBytes(shape);
     EXPECT_GT(size, previous) << bits;
@@ -143,14 +143,14 @@ TEST(EncodedSizeTest, CompressionRatiosOrdering) {
 }
 
 TEST(NumChunksTest, MatchesBucketAndColumnCounts) {
-  auto qsgd = CreateCodec(QsgdSpec(4));  // bucket 512
+  auto qsgd = QsgdSpec(4).Create();  // bucket 512
   EXPECT_EQ((*qsgd)->NumChunks(Shape({1024, 2})), 4);  // 2048/512
   EXPECT_EQ((*qsgd)->NumChunks(Shape({513})), 2);      // partial bucket
 
-  auto one_bit = CreateCodec(OneBitSgdSpec());
+  auto one_bit = OneBitSgdSpec().Create();
   EXPECT_EQ((*one_bit)->NumChunks(Shape({3, 777})), 777);  // per column
 
-  auto fp = CreateCodec(FullPrecisionSpec());
+  auto fp = FullPrecisionSpec().Create();
   EXPECT_EQ((*fp)->NumChunks(Shape({1000})), 0);
 }
 

@@ -35,7 +35,7 @@ TEST(EcqSgdCodecTest, FreshErrorStateMatchesQsgdExactly) {
 
   CodecSpec e = EcqSgdSpec(4);
   e.bucket_size = 64;  // same default seed as the QSGD spec below
-  auto ecq = CreateCodec(e);
+  auto ecq = e.Create();
   ASSERT_TRUE(ecq.ok());
   std::vector<float> error(200, 0.0f);
   std::vector<uint8_t> ecq_blob;
@@ -43,7 +43,7 @@ TEST(EcqSgdCodecTest, FreshErrorStateMatchesQsgdExactly) {
 
   CodecSpec q = QsgdSpec(4);
   q.bucket_size = 64;
-  auto qsgd = CreateCodec(q);
+  auto qsgd = q.Create();
   ASSERT_TRUE(qsgd.ok());
   std::vector<uint8_t> qsgd_blob;
   (*qsgd)->Encode(grad.data(), shape, 42, nullptr, &qsgd_blob);
@@ -140,23 +140,23 @@ TEST(EcqSgdCodecTest, FactoryAndSpec) {
   const CodecSpec spec = EcqSgdSpec(4);
   EXPECT_EQ(spec.bucket_size, 512);
   EXPECT_TRUE(spec.error_feedback);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ((*codec)->Name(), "ECQ-SGD 4bit (b=512)");
   EXPECT_TRUE((*codec)->UsesErrorFeedback());
 
   CodecSpec no_ef = EcqSgdSpec(4);
   no_ef.error_feedback = false;
-  auto plain = CreateCodec(no_ef);
+  auto plain = no_ef.Create();
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE((*plain)->UsesErrorFeedback());
 
   CodecSpec bad = EcqSgdSpec(4);
   bad.bits = 17;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = EcqSgdSpec(4);
   bad.bucket_size = -3;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 }  // namespace

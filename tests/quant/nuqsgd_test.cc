@@ -108,7 +108,7 @@ TEST(NuqsgdCodecTest, WireLayoutMatchesQsgd) {
     NuqsgdCodec nuq(bits, 64, 1);
     CodecSpec q = QsgdSpec(bits);
     q.bucket_size = 64;
-    auto qsgd = CreateCodec(q);
+    auto qsgd = q.Create();
     ASSERT_TRUE(qsgd.ok());
     const Shape shape({1000});
     EXPECT_EQ(nuq.EncodedSizeBytes(shape), (*qsgd)->EncodedSizeBytes(shape))
@@ -130,17 +130,17 @@ TEST(NuqsgdCodecTest, FactoryAndSpec) {
   const CodecSpec spec = NuqsgdSpec(4);
   EXPECT_EQ(spec.bucket_size, 512);  // inherits the paper bucket defaults
   EXPECT_EQ(spec.norm, QsgdNorm::kL2);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ((*codec)->Name(), "NUQSGD 4bit (b=512)");
   EXPECT_FALSE((*codec)->UsesErrorFeedback());
 
   CodecSpec bad = NuqsgdSpec(4);
   bad.bits = 1;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = NuqsgdSpec(4);
   bad.bucket_size = 0;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ std::unique_ptr<GradientCodec> MakeQsgd(
   spec.bucket_size = bucket;
   spec.norm = norm;
   spec.levels = levels;
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   return std::move(codec).value();
 }

@@ -154,20 +154,20 @@ TEST(TernGradCodecTest, ClippedComponentsSaturate) {
 }
 
 TEST(TernGradCodecTest, FactoryAndSpec) {
-  auto codec = CreateCodec(TernGradSpec());
+  auto codec = TernGradSpec().Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ((*codec)->Name(), "TernGrad");
   EXPECT_FALSE((*codec)->UsesErrorFeedback());
 
-  auto bucketed = CreateCodec(TernGradSpec(128, 3.0));
+  auto bucketed = TernGradSpec(128, 3.0).Create();
   ASSERT_TRUE(bucketed.ok());
 
   CodecSpec bad = TernGradSpec();
   bad.bucket_size = -1;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = TernGradSpec();
   bad.clip = -0.5;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 }  // namespace

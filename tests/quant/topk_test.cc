@@ -132,14 +132,14 @@ TEST(TopKCodecTest, FactoryAndSpec) {
   const CodecSpec spec = TopKSpec(0.05);
   EXPECT_EQ(spec.Label(), "TopK 5.0%");
   EXPECT_EQ(spec.ShortLabel(), "K5");
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_TRUE((*codec)->UsesErrorFeedback());
 
   CodecSpec bad = TopKSpec(0.0);
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = TopKSpec(1.5);
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 class TopKDensityTest : public ::testing::TestWithParam<double> {};

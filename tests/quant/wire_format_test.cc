@@ -41,9 +41,9 @@ class WireFormatTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(WireFormatTest, BytesMatchGolden) {
   const GoldenCase& c = GetParam();
-  auto spec = ParseCodecSpec(c.spec);
+  auto spec = CodecSpec::Parse(c.spec);
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = spec->Create();
   ASSERT_TRUE(codec.ok());
 
   const float grad[8] = {0.5f, -1.0f, 0.25f, 0.0f,
@@ -107,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WireFormatTest, OneBitHeaderIsAvgPairs) {
   // Columns of {0.5, 0.25, 2.0, 1.5} / {-1, 0, -0.125, -2.5}:
   // col0: avg+ = 1.0625 (0x3f880000 LE), col1 mixes signs.
-  auto codec = CreateCodec(OneBitSgdSpec());
+  auto codec = OneBitSgdSpec().Create();
   const float grad[8] = {0.5f, -1.0f, 0.25f, 0.0f,
                          2.0f, -0.125f, 1.5f, -2.5f};
   std::vector<float> error(8, 0.0f);
@@ -354,9 +354,9 @@ TEST(WireFormatTest, CorruptedBlobsAreRejected) {
 
   for (const char* spec_str : kSpecs) {
     SCOPED_TRACE(spec_str);
-    auto spec = ParseCodecSpec(spec_str);
+    auto spec = CodecSpec::Parse(spec_str);
     ASSERT_TRUE(spec.ok());
-    auto codec = CreateCodec(*spec);
+    auto codec = spec->Create();
     ASSERT_TRUE(codec.ok());
     std::vector<float> error(static_cast<size_t>(n), 0.0f);
     std::vector<uint8_t> blob;
@@ -416,7 +416,7 @@ TEST(WireFormatTest, CorruptedBlobsAreRejected) {
 }
 
 TEST(WireFormatTest, TopKHeaderIsCount) {
-  auto codec = CreateCodec(TopKSpec(0.25));
+  auto codec = TopKSpec(0.25).Create();
   const float grad[8] = {0.5f, -1.0f, 0.25f, 0.0f,
                          2.0f, -0.125f, 1.5f, -2.5f};
   std::vector<float> error(8, 0.0f);
