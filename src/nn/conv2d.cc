@@ -7,6 +7,26 @@
 #include "tensor/ops.h"
 
 namespace lpsgd {
+namespace {
+
+// Per-sample work buffers that live for one Forward or Backward call. One
+// set per thread serves every layer and replica that runs on it, so they
+// cost memory per thread, not per rank, and stop allocating once they
+// have seen the largest shapes.
+struct ConvScratch {
+  Tensor image;       // {in_c, h, w}
+  Tensor out_mat;     // {out_c, out_h * out_w}
+  Tensor grad_mat;    // {out_c, out_h * out_w}
+  Tensor patch_grad;  // {out_h * out_w, in_c * k * k}
+  Tensor image_grad;  // {in_c, h, w}
+};
+
+ConvScratch& Scratch() {
+  thread_local ConvScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 Conv2dLayer::Conv2dLayer(std::string name, int in_channels, int out_channels,
                          int kernel_size, int stride, int padding, Rng* rng)
@@ -40,23 +60,30 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
   CHECK_GT(out_w, 0) << name_;
 
   cached_input_ = input;
-  cached_patches_.assign(static_cast<size_t>(batch), Tensor());
+  if (cached_patches_.size() < static_cast<size_t>(batch)) {
+    cached_patches_.resize(static_cast<size_t>(batch));
+  }
 
   Tensor output(Shape({batch, out_channels_, out_h, out_w}));
   const int64_t sample_in = input.size() / batch;
   const int64_t sample_out = output.size() / batch;
   const int64_t plane = int64_t{out_h} * out_w;
+  const int64_t patch_width =
+      int64_t{in_channels_} * kernel_size_ * kernel_size_;
 
-  Tensor image(Shape({in_channels_, height, width}));
+  ConvScratch& scratch = Scratch();
+  Tensor& image = scratch.image;
+  Tensor& out_mat = scratch.out_mat;
+  image.Resize({in_channels_, height, width});
+  out_mat.Resize({out_channels_, plane});
   for (int64_t s = 0; s < batch; ++s) {
     std::copy(input.data() + s * sample_in,
               input.data() + (s + 1) * sample_in, image.data());
-    Tensor patches(
-        Shape({plane, int64_t{in_channels_} * kernel_size_ * kernel_size_}));
+    Tensor& patches = cached_patches_[static_cast<size_t>(s)];
+    patches.Resize({plane, patch_width});
     Im2Col(image, kernel_size_, kernel_size_, stride_, padding_, &patches);
 
     // out[oc, pos] = sum_k W[oc, k] * patches[pos, k]  (oc x plane matrix).
-    Tensor out_mat(Shape({out_channels_, plane}));
     Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, weight_, patches,
          0.0f, &out_mat);
     float* out_sample = output.data() + s * sample_out;
@@ -66,7 +93,6 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
       float* dst = out_sample + int64_t{oc} * plane;
       for (int64_t p = 0; p < plane; ++p) dst[p] = src[p] + b;
     }
-    cached_patches_[static_cast<size_t>(s)] = std::move(patches);
   }
   return output;
 }
@@ -86,8 +112,14 @@ Tensor Conv2dLayer::Backward(const Tensor& output_grad) {
   const int64_t sample_in = cached_input_.size() / batch;
   const int64_t sample_out = output_grad.size() / batch;
 
-  Tensor grad_mat(Shape({out_channels_, plane}));
-  Tensor image_grad(Shape({in_channels_, height, width}));
+  ConvScratch& scratch = Scratch();
+  Tensor& grad_mat = scratch.grad_mat;
+  Tensor& patch_grad = scratch.patch_grad;
+  Tensor& image_grad = scratch.image_grad;
+  grad_mat.Resize({out_channels_, plane});
+  patch_grad.Resize(
+      {plane, int64_t{in_channels_} * kernel_size_ * kernel_size_});
+  image_grad.Resize({in_channels_, height, width});
   for (int64_t s = 0; s < batch; ++s) {
     std::copy(output_grad.data() + s * sample_out,
               output_grad.data() + (s + 1) * sample_out, grad_mat.data());
@@ -103,7 +135,6 @@ Tensor Conv2dLayer::Backward(const Tensor& output_grad) {
       bias_grad_.at(oc) += sum;
     }
 
-    Tensor patch_grad(patches.shape());
     Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, grad_mat,
          weight_, 0.0f, &patch_grad);
     image_grad.SetZero();

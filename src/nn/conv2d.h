@@ -36,6 +36,9 @@ class Conv2dLayer : public Layer {
   Tensor bias_grad_;    // {out_c}
   Tensor cached_input_;
   // im2col patches per sample from the last Forward, reused in Backward.
+  // The vector and its tensors only grow, so a steady batch shape
+  // allocates nothing here; the first `batch` entries are current. The
+  // per-sample work buffers are per-thread scratch in conv2d.cc.
   std::vector<Tensor> cached_patches_;
 };
 

@@ -40,9 +40,9 @@ Tensor DenseLayer::Backward(const Tensor& output_grad) {
   // dW += dY^T X ; db += column sums of dY ; dX = dY W.
   Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, output_grad,
        cached_input_, 1.0f, &weight_grad_);
-  Tensor bias_batch_grad(bias_grad_.shape());
-  SumRowsTo(output_grad, &bias_batch_grad);
-  Axpy(1.0f, bias_batch_grad, &bias_grad_);
+  bias_batch_grad_.Resize({out_features_});
+  SumRowsTo(output_grad, &bias_batch_grad_);
+  Axpy(1.0f, bias_batch_grad_, &bias_grad_);
   Tensor input_grad(cached_input_.shape());
   Gemm(/*transpose_a=*/false, /*transpose_b=*/false, 1.0f, output_grad,
        weight_, 0.0f, &input_grad);

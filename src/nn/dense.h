@@ -35,6 +35,7 @@ class DenseLayer : public Layer {
   Tensor bias_;         // {out}
   Tensor bias_grad_;    // {out}
   Tensor cached_input_;
+  Tensor bias_batch_grad_;  // {out}: Backward's column sums of dY
 };
 
 }  // namespace lpsgd

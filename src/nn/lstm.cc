@@ -1,7 +1,9 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "base/logging.h"
 #include "tensor/ops.h"
@@ -10,6 +12,29 @@ namespace lpsgd {
 namespace {
 
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+// Buffers that live for one Forward or Backward call. One set per thread
+// serves every layer and replica that runs on it, so they cost memory per
+// thread, not per rank, and stop allocating once they have seen the
+// largest shapes.
+struct LstmScratch {
+  Tensor wx_t;  // Wx^T {input_dim, 4h}, packed once per Forward so every
+  Tensor wh_t;  // Wh^T {h, 4h}        time step runs the untransposed Gemm
+  Tensor h;     // Forward's running state {batch, h}
+  Tensor c;
+  Tensor dh;    // Backward's carried gradients {batch, h}
+  Tensor dc;
+  Tensor dh_next;
+  Tensor dc_next;
+  Tensor dgates;  // {batch, 4h}
+  Tensor db;      // {4h}
+  Tensor dx;      // {batch, input_dim}
+};
+
+LstmScratch& Scratch() {
+  thread_local LstmScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -38,17 +63,30 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
   const int64_t batch = input.shape().dim(0);
   const int64_t time = input.shape().dim(1);
   CHECK_EQ(input.shape().dim(2), input_dim_) << name_;
-
-  steps_.clear();
-  steps_.reserve(static_cast<size_t>(time));
-
-  Tensor h(Shape({batch, hidden_dim_}));
-  Tensor c(Shape({batch, hidden_dim_}));
   const int64_t h4 = 4 * int64_t{hidden_dim_};
 
+  LstmScratch& scratch = Scratch();
+  Tensor& wx_t = scratch.wx_t;
+  Tensor& wh_t = scratch.wh_t;
+  Tensor& h = scratch.h;
+  Tensor& c = scratch.c;
+  wx_t.Resize({input_dim_, h4});
+  Transpose(wx_, &wx_t);
+  wh_t.Resize({hidden_dim_, h4});
+  Transpose(wh_, &wh_t);
+  if (steps_.size() < static_cast<size_t>(time)) {
+    steps_.resize(static_cast<size_t>(time));
+  }
+  num_steps_ = time;
+
+  h.Resize({batch, hidden_dim_});
+  h.SetZero();
+  c.Resize({batch, hidden_dim_});
+  c.SetZero();
+
   for (int64_t t = 0; t < time; ++t) {
-    StepCache step;
-    step.x = Tensor(Shape({batch, input_dim_}));
+    StepCache& step = steps_[static_cast<size_t>(t)];
+    step.x.Resize({batch, input_dim_});
     for (int64_t b = 0; b < batch; ++b) {
       const float* src =
           input.data() + (b * time + t) * input_dim_;
@@ -57,13 +95,14 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
     step.h_prev = h;
     step.c_prev = c;
 
-    Tensor gates(Shape({batch, h4}));
-    Gemm(false, true, 1.0f, step.x, wx_, 0.0f, &gates);
-    Gemm(false, true, 1.0f, step.h_prev, wh_, 1.0f, &gates);
+    Tensor& gates = step.gates;
+    gates.Resize({batch, h4});
+    Gemm(false, false, 1.0f, step.x, wx_t, 0.0f, &gates);
+    Gemm(false, false, 1.0f, step.h_prev, wh_t, 1.0f, &gates);
     AddRowBroadcast(bias_, &gates);
 
-    step.c = Tensor(Shape({batch, hidden_dim_}));
-    step.tanh_c = Tensor(Shape({batch, hidden_dim_}));
+    step.c.Resize({batch, hidden_dim_});
+    step.tanh_c.Resize({batch, hidden_dim_});
     for (int64_t b = 0; b < batch; ++b) {
       float* g = gates.data() + b * h4;
       const float* cp = step.c_prev.data() + b * hidden_dim_;
@@ -84,9 +123,7 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
         hn[j] = o_gate * tc[j];
       }
     }
-    step.gates = std::move(gates);
     c = step.c;
-    steps_.push_back(std::move(step));
   }
 
   if (!return_sequences_) return h;
@@ -109,23 +146,40 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor LstmLayer::Backward(const Tensor& output_grad) {
-  CHECK(!steps_.empty()) << name_;
-  const int64_t time = static_cast<int64_t>(steps_.size());
+  CHECK_GT(num_steps_, 0) << name_;
+  const int64_t time = num_steps_;
   const int64_t batch = output_grad.shape().dim(0);
   if (return_sequences_) {
-    CHECK(output_grad.shape() == Shape({batch, time, hidden_dim_})) << name_;
+    CHECK_EQ(output_grad.shape().ndim(), 3) << name_;
+    CHECK_EQ(output_grad.shape().dim(1), time) << name_;
+    CHECK_EQ(output_grad.shape().dim(2), hidden_dim_) << name_;
   } else {
     CHECK_EQ(output_grad.cols(), hidden_dim_) << name_;
   }
   const int64_t h4 = 4 * int64_t{hidden_dim_};
 
   Tensor input_grad(Shape({batch, time, input_dim_}));
-  Tensor dh(Shape({batch, hidden_dim_}));
-  if (!return_sequences_) {
-    std::copy(output_grad.data(), output_grad.data() + dh.size(),
-              dh.data());
+  LstmScratch& scratch = Scratch();
+  Tensor& dh = scratch.dh;
+  Tensor& dc = scratch.dc;
+  Tensor& dh_next = scratch.dh_next;
+  Tensor& dc_next = scratch.dc_next;
+  Tensor& dgates = scratch.dgates;
+  Tensor& db = scratch.db;
+  Tensor& dx = scratch.dx;
+  dh.Resize({batch, hidden_dim_});
+  if (return_sequences_) {
+    dh.SetZero();
+  } else {
+    std::copy(output_grad.data(), output_grad.data() + dh.size(), dh.data());
   }
-  Tensor dc(Shape({batch, hidden_dim_}));
+  dc.Resize({batch, hidden_dim_});
+  dc.SetZero();
+  dh_next.Resize({batch, hidden_dim_});
+  dc_next.Resize({batch, hidden_dim_});
+  dgates.Resize({batch, h4});
+  db.Resize({h4});
+  dx.Resize({batch, input_dim_});
 
   for (int64_t t = time - 1; t >= 0; --t) {
     if (return_sequences_) {
@@ -139,9 +193,6 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
       }
     }
     const StepCache& step = steps_[static_cast<size_t>(t)];
-    Tensor dgates(Shape({batch, h4}));
-    Tensor dh_next(Shape({batch, hidden_dim_}));
-    Tensor dc_next(Shape({batch, hidden_dim_}));
 
     for (int64_t b = 0; b < batch; ++b) {
       const float* g = step.gates.data() + b * h4;
@@ -173,12 +224,10 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
     // Parameter gradients.
     Gemm(true, false, 1.0f, dgates, step.x, 1.0f, &wx_grad_);
     Gemm(true, false, 1.0f, dgates, step.h_prev, 1.0f, &wh_grad_);
-    Tensor db(bias_grad_.shape());
     SumRowsTo(dgates, &db);
     Axpy(1.0f, db, &bias_grad_);
 
     // Input and recurrent gradients.
-    Tensor dx(Shape({batch, input_dim_}));
     Gemm(false, false, 1.0f, dgates, wx_, 0.0f, &dx);
     for (int64_t b = 0; b < batch; ++b) {
       float* dst = input_grad.data() + (b * time + t) * input_dim_;
@@ -187,8 +236,8 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
     }
     Gemm(false, false, 1.0f, dgates, wh_, 0.0f, &dh_next);
 
-    dh = std::move(dh_next);
-    dc = std::move(dc_next);
+    std::swap(dh, dh_next);
+    std::swap(dc, dc_next);
   }
   return input_grad;
 }

@@ -39,7 +39,10 @@ class LstmLayer : public Layer {
   Tensor bias_;     // {4h}
   Tensor bias_grad_;
 
-  // Per-timestep caches from the last Forward.
+  // Per-timestep caches from the last Forward: the first num_steps_
+  // entries. The vector and its tensors are reused across calls and only
+  // grow, so a steady batch shape allocates nothing here. Buffers that
+  // live for one call only are per-thread scratch in lstm.cc.
   struct StepCache {
     Tensor x;      // {batch, input_dim}
     Tensor h_prev; // {batch, h}
@@ -49,6 +52,7 @@ class LstmLayer : public Layer {
     Tensor tanh_c; // {batch, h}
   };
   std::vector<StepCache> steps_;
+  int64_t num_steps_ = 0;
 };
 
 }  // namespace lpsgd

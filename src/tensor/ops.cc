@@ -3,10 +3,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "base/logging.h"
+#include "tensor/gemm_kernels.h"
 
 namespace lpsgd {
+
+namespace {
+
+// Marks each tile of kGemmTileRows rows of op(A) that holds a product
+// alpha * a_ik equal to zero, the ones the kernel must skip. Both loop
+// orders keep the inner loop contiguous so it vectorizes.
+void MarkZeroTiles(int64_t m, int64_t k, float alpha, const float* a,
+                   bool transpose_a, int64_t lda, uint8_t* flags) {
+  for (int64_t i0 = 0, tile = 0; i0 < m; i0 += kGemmTileRows, ++tile) {
+    const int64_t rows = std::min<int64_t>(kGemmTileRows, m - i0);
+    int zeros = 0;
+    if (transpose_a) {
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float* arow = a + kk * lda + i0;
+        for (int64_t r = 0; r < rows; ++r) zeros += alpha * arow[r] == 0.0f;
+      }
+    } else {
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* arow = a + (i0 + r) * lda;
+        for (int64_t kk = 0; kk < k; ++kk) zeros += alpha * arow[kk] == 0.0f;
+      }
+    }
+    flags[tile] = zeros > 0 ? 1 : 0;
+  }
+}
+
+}  // namespace
 
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor* c) {
@@ -17,34 +46,69 @@ void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
   CHECK_EQ(k, k2) << "Gemm inner dimensions";
   CHECK_EQ(c->rows(), m);
   CHECK_EQ(c->cols(), n);
+  if (m == 0 || n == 0) return;
 
-  float* cd = c->data();
-  if (beta == 0.0f) {
-    std::fill(cd, cd + m * n, 0.0f);
-  } else if (beta != 1.0f) {
-    for (int64_t i = 0; i < m * n; ++i) cd[i] *= beta;
+  // Per-thread scratch, grown to the largest call seen: one zero flag per
+  // row tile, and for a transposed B a panel of one column strip, so the
+  // panel never holds more than k x kGemmTileCols floats.
+  thread_local std::vector<uint8_t> tile_flags;
+  thread_local std::vector<float> panel;
+  const int64_t tiles = (m + kGemmTileRows - 1) / kGemmTileRows;
+  if (tile_flags.size() < static_cast<size_t>(tiles)) {
+    tile_flags.resize(static_cast<size_t>(tiles));
+  }
+  if (transpose_b && panel.size() < static_cast<size_t>(k * kGemmTileCols)) {
+    panel.resize(static_cast<size_t>(k * kGemmTileCols));
   }
 
-  const float* ad = a.data();
-  const float* bd = b.data();
-  const int64_t lda = a.cols();
-  const int64_t ldb = b.cols();
+  GemmBlock block;
+  block.rows = m;
+  block.k = k;
+  block.alpha = alpha;
+  block.beta = beta;
+  block.a = a.data();
+  block.a_row_stride = transpose_a ? 1 : a.cols();
+  block.a_k_stride = transpose_a ? a.cols() : 1;
+  block.tile_has_zero = tile_flags.data();
+  block.ldc = n;
+  MarkZeroTiles(m, k, alpha, block.a, transpose_a, a.cols(),
+                tile_flags.data());
 
-  // i-k-j ordering keeps the inner loop streaming over contiguous rows of B
-  // (or C), the cache-friendly pattern for row-major storage.
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik =
-          alpha * (transpose_a ? ad[kk * lda + i] : ad[i * lda + kk]);
-      if (aik == 0.0f) continue;
-      float* crow = cd + i * n;
-      if (!transpose_b) {
-        const float* brow = bd + kk * ldb;
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      } else {
-        const float* bcol = bd + kk;  // stride ldb
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * bcol[j * ldb];
-      }
+  const GemmKernels& kernels = ActiveGemmKernels();
+  if (!transpose_b) {
+    block.cols = n;
+    block.b = b.data();
+    block.b_k_stride = n;
+    block.b_padded = false;
+    block.c = c->data();
+    kernels.block(block);
+    return;
+  }
+  // A transposed B is packed one column strip at a time, and every row
+  // tile of that strip runs while the panel is in cache. No loop splits
+  // k, so each element's k order is the reference's.
+  block.b = panel.data();
+  block.b_k_stride = kGemmTileCols;
+  block.b_padded = true;
+  for (int64_t j0 = 0; j0 < n; j0 += kGemmTileCols) {
+    block.cols = std::min<int64_t>(kGemmTileCols, n - j0);
+    kernels.pack_transposed(b.data() + j0 * b.cols(), b.cols(), k,
+                            block.cols, panel.data());
+    block.c = c->data() + j0;
+    kernels.block(block);
+  }
+}
+
+void Transpose(const Tensor& x, Tensor* out) {
+  CHECK_EQ(out->rows(), x.cols());
+  CHECK_EQ(out->cols(), x.rows());
+  const int64_t rows = x.rows();
+  const int64_t cols = x.cols();
+  const float* src = x.data();
+  float* dst = out->data();
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t col = 0; col < cols; ++col) {
+      dst[col * rows + r] = src[r * cols + col];
     }
   }
 }

@@ -14,8 +14,28 @@ namespace lpsgd {
 
 // C = alpha * op(A) * op(B) + beta * C, where op(X) = X or X^T.
 // Shapes (after op): A is m x k, B is k x n, C must be m x n.
+//
+// Every output element sees exactly this sequence, on every path and ISA:
+//   c = beta * c, or c = 0 when beta == 0 (so NaN in C is cleared);
+//   then for k ascending, unless alpha * a_ik == 0:
+//     c = c + (alpha * a_ik) * b_kj
+// as a separate IEEE mul and add: no FMA, no reassociation over k. The
+// skip is per (i, k), so a zero in A keeps Inf/NaN in B out of C and
+// leaves a -0 in C as it is. Results are therefore bit-identical across
+// transpose modes' code paths, tile shapes and ISAs.
+//
+// The kernel (tensor/gemm_kernels.h) cuts C into 4 x 16 tiles held in
+// registers for the whole k loop, vectorized along j through the
+// base/simd dispatch (scalar, AVX2, NEON). No mode walks a strided
+// operand in its inner loop: a transposed B is packed one 16-column strip
+// at a time into a per-thread panel. Callers that reuse one B^T across
+// many calls (the LSTM's weights over time steps) should Transpose it once
+// and pass it untransposed.
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor* c);
+
+// out = x^T; `out` must be pre-shaped cols(x) x rows(x).
+void Transpose(const Tensor& x, Tensor* out);
 
 // y += alpha * x (element count must match).
 void Axpy(float alpha, const Tensor& x, Tensor* y);

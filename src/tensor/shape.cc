@@ -14,6 +14,11 @@ Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {
   for (int64_t d : dims_) CHECK_GE(d, 0);
 }
 
+void Shape::Assign(std::initializer_list<int64_t> dims) {
+  for (int64_t d : dims) CHECK_GE(d, 0);
+  dims_.assign(dims);
+}
+
 int64_t Shape::dim(int i) const {
   CHECK_GE(i, 0);
   CHECK_LT(i, ndim());

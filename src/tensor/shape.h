@@ -18,6 +18,10 @@ class Shape {
   Shape(std::initializer_list<int64_t> dims);
   explicit Shape(std::vector<int64_t> dims);
 
+  // Replaces the dimensions in place, reusing the storage when the rank
+  // does not grow.
+  void Assign(std::initializer_list<int64_t> dims);
+
   int ndim() const { return static_cast<int>(dims_.size()); }
   int64_t dim(int i) const;
   const std::vector<int64_t>& dims() const { return dims_; }

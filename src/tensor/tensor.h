@@ -3,6 +3,7 @@
 #define LPSGD_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,11 @@ class Tensor {
 
   // Reinterprets the buffer with a new shape of identical element count.
   void Reshape(Shape shape);
+
+  // Gives the tensor the shape `dims` for reuse as a scratch or cache
+  // buffer. The storage only grows, so a buffer reused at shapes it has
+  // already held allocates nothing. Element values are unspecified.
+  void Resize(std::initializer_list<int64_t> dims);
 
   // Sum of squares and norms over all elements.
   double SumSquares() const;

@@ -87,6 +87,10 @@ const std::pair<const char*, int> kRequiredHotPathMarkers[] = {
     {"src/quant/topk_simd.cc", 2},
     {"src/base/simd/elementwise.cc", 6},
     {"src/base/simd/elementwise_simd.cc", 13},
+    // The Gemm kernels: scalar reference block and panel packing, and the
+    // AVX2/NEON tiles, row streams and dispatch.
+    {"src/tensor/gemm_kernels.cc", 2},
+    {"src/tensor/gemm_simd.cc", 10},
 };
 
 // Directories that are cold-path by contract: durable checkpointing runs
