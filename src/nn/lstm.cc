@@ -18,8 +18,10 @@ inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 // thread, not per rank, and stop allocating once they have seen the
 // largest shapes.
 struct LstmScratch {
-  Tensor wx_t;  // Wx^T {input_dim, 4h}, packed once per Forward so every
-  Tensor wh_t;  // Wh^T {h, 4h}        time step runs the untransposed Gemm
+  // Wx^T {input_dim, 4h} and Wh^T {h, 4h}, packed once per Forward so
+  // every time step runs the untransposed Gemm kernel.
+  Tensor wx_t;
+  Tensor wh_t;
   Tensor h;     // Forward's running state {batch, h}
   Tensor c;
   Tensor dh;    // Backward's carried gradients {batch, h}

@@ -47,11 +47,6 @@ const GemmKernels& GemmKernelsForIsa(SimdIsa isa) {
                                    simd_avx2::GemmPackTransposedF32};
   if (isa == SimdIsa::kAvx2 && SimdIsaSupported(SimdIsa::kAvx2)) return avx2;
 #endif
-#if defined(__aarch64__)
-  static const GemmKernels neon = {simd_neon::GemmBlockF32,
-                                   simd_scalar::GemmPackTransposedF32};
-  if (isa == SimdIsa::kNeon) return neon;
-#endif
   (void)isa;
   return scalar;
 }

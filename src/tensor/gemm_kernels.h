@@ -51,8 +51,8 @@ struct GemmKernels {
                           int64_t cols, float* panel);
 };
 
-// Kernel table for `isa`; unsupported or not-compiled-in ISAs resolve to
-// the scalar table.
+// Kernel table for `isa`; ISAs without a table here, or that the host
+// cannot run, resolve to the scalar table.
 const GemmKernels& GemmKernelsForIsa(SimdIsa isa);
 
 inline const GemmKernels& ActiveGemmKernels() {
@@ -66,18 +66,14 @@ void GemmPackTransposedF32(const float* b, int64_t ldb, int64_t k,
                            int64_t cols, float* panel);
 }  // namespace simd_scalar
 
-// Vector variants, defined in gemm_simd.cc.
+// The AVX2 variant, defined in gemm_simd.cc. Other ISAs, NEON included,
+// run the scalar table.
 #if defined(__x86_64__)
 namespace simd_avx2 {
 void GemmBlockF32(const GemmBlock& block);
 void GemmPackTransposedF32(const float* b, int64_t ldb, int64_t k,
                            int64_t cols, float* panel);
 }  // namespace simd_avx2
-#endif
-#if defined(__aarch64__)
-namespace simd_neon {
-void GemmBlockF32(const GemmBlock& block);
-}  // namespace simd_neon
 #endif
 
 }  // namespace lpsgd

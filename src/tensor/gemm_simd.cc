@@ -124,8 +124,8 @@ LPSGD_SIMD_TARGET_AVX2 LPSGD_HOT_PATH void RowTileWithSkip(
   }
 }
 
-// Transposes the 8 x 8 block at rows [0, 8) and columns [kk, kk + 8) of
-// `b` into panel rows kk..kk+7, columns [0, 8).
+// Transposes the 8 x 8 block at `b` (8 rows, row stride ldb) into the
+// first 8 columns of the 8 panel rows starting at `panel_block`.
 LPSGD_SIMD_TARGET_AVX2 LPSGD_HOT_PATH inline void Transpose8x8(
     const float* b, int64_t ldb, float* panel_block) {
   const __m256 r0 = _mm256_loadu_ps(b);
@@ -286,108 +286,3 @@ void GemmPackTransposedF32(const float* b, int64_t ldb, int64_t k,
 }  // namespace simd_avx2
 }  // namespace lpsgd
 #endif  // defined(__x86_64__)
-
-#if defined(__aarch64__)
-#include <arm_neon.h>
-
-namespace lpsgd {
-namespace simd_neon {
-namespace {
-
-// Rows [i0, i0 + kRows) and columns [j0, j0 + 4 * kVecs) of the block.
-// The select keeps the old accumulator wherever alpha * a_ik == 0.
-template <int kRows, int kVecs>
-LPSGD_HOT_PATH void Tile(const GemmBlock& s, int64_t i0, int64_t j0) {
-  float32x4_t acc[kRows][kVecs];
-  const float32x4_t beta = vdupq_n_f32(s.beta);
-  for (int r = 0; r < kRows; ++r) {
-    const float* crow = s.c + (i0 + r) * s.ldc + j0;
-    for (int v = 0; v < kVecs; ++v) {
-      if (s.beta == 0.0f) {
-        acc[r][v] = vdupq_n_f32(0.0f);
-        continue;
-      }
-      const float32x4_t cv = vld1q_f32(crow + 4 * v);
-      acc[r][v] = s.beta == 1.0f ? cv : vmulq_f32(cv, beta);
-    }
-  }
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  const float* a = s.a + i0 * s.a_row_stride;
-  for (int64_t kk = 0; kk < s.k; ++kk) {
-    const float* brow = s.b + kk * s.b_k_stride + j0;
-    float32x4_t bv[kVecs];
-    for (int v = 0; v < kVecs; ++v) bv[v] = vld1q_f32(brow + 4 * v);
-    const float* acol = a + kk * s.a_k_stride;
-    for (int r = 0; r < kRows; ++r) {
-      const float32x4_t av = vdupq_n_f32(s.alpha * acol[r * s.a_row_stride]);
-      const uint32x4_t skip = vceqq_f32(av, zero);
-      for (int v = 0; v < kVecs; ++v) {
-        const float32x4_t sum = vaddq_f32(acc[r][v], vmulq_f32(av, bv[v]));
-        acc[r][v] = vbslq_f32(skip, acc[r][v], sum);
-      }
-    }
-  }
-  for (int r = 0; r < kRows; ++r) {
-    float* crow = s.c + (i0 + r) * s.ldc + j0;
-    for (int v = 0; v < kVecs; ++v) vst1q_f32(crow + 4 * v, acc[r][v]);
-  }
-}
-
-// One row tile across the full 4-lane vectors of the block: 16-column
-// strips, then one tile of the remaining whole vectors.
-template <int kRows>
-LPSGD_HOT_PATH void RowTile(const GemmBlock& s, int64_t i0, int64_t vecs) {
-  int64_t j0 = 0;
-  for (; j0 + 16 <= 4 * vecs; j0 += 16) Tile<kRows, 4>(s, i0, j0);
-  switch (vecs - j0 / 4) {
-    case 1:
-      Tile<kRows, 1>(s, i0, j0);
-      break;
-    case 2:
-      Tile<kRows, 2>(s, i0, j0);
-      break;
-    case 3:
-      Tile<kRows, 3>(s, i0, j0);
-      break;
-    default:
-      break;
-  }
-}
-
-}  // namespace
-
-// Full 4-lane vectors only; the last cols mod 4 columns go to the scalar
-// reference, which computes them with the same sequence.
-LPSGD_HOT_PATH
-void GemmBlockF32(const GemmBlock& s) {
-  const int64_t vecs = s.cols / 4;
-  const int64_t full_tiles = s.rows / kGemmTileRows;
-  for (int64_t tile = 0; tile < full_tiles; ++tile) {
-    RowTile<kGemmTileRows>(s, tile * kGemmTileRows, vecs);
-  }
-  const int64_t i0 = full_tiles * kGemmTileRows;
-  switch (s.rows % kGemmTileRows) {
-    case 1:
-      RowTile<1>(s, i0, vecs);
-      break;
-    case 2:
-      RowTile<2>(s, i0, vecs);
-      break;
-    case 3:
-      RowTile<3>(s, i0, vecs);
-      break;
-    default:
-      break;
-  }
-  if (s.cols % 4 != 0) {
-    GemmBlock rest = s;
-    rest.cols = s.cols % 4;
-    rest.b = s.b + 4 * vecs;
-    rest.c = s.c + 4 * vecs;
-    simd_scalar::GemmBlockF32(rest);
-  }
-}
-
-}  // namespace simd_neon
-}  // namespace lpsgd
-#endif  // defined(__aarch64__)

@@ -26,11 +26,12 @@ namespace lpsgd {
 //
 // The kernel (tensor/gemm_kernels.h) cuts C into 4 x 16 tiles held in
 // registers for the whole k loop, vectorized along j through the
-// base/simd dispatch (scalar, AVX2, NEON). No mode walks a strided
-// operand in its inner loop: a transposed B is packed one 16-column strip
-// at a time into a per-thread panel. Callers that reuse one B^T across
-// many calls (the LSTM's weights over time steps) should Transpose it once
-// and pass it untransposed.
+// base/simd dispatch (a scalar table and an AVX2 table). No mode walks a
+// strided operand in its inner loop: a transposed B is packed one
+// 16-column strip at a time into a per-thread panel, and a large
+// untransposed B streams row by row past L1-resident rows of C. Callers
+// that reuse one B^T across many calls (the LSTM's weights over time
+// steps) should Transpose it once and pass it untransposed.
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor* c);
 
