@@ -24,6 +24,9 @@ namespace lpsgd {
 namespace simd_avx2 {
 namespace {
 
+constexpr int64_t kLanes = 8;                // floats per __m256
+constexpr int64_t kPanelRow = kGemmTileCols;  // floats per packed panel row
+
 // One tile: rows [i0, i0 + kRows) and columns [j0, j0 + 8 * kVecs) of
 // the block. kMaskC: the last vector is partial, so C is loaded and stored
 // under `tail`. kMaskB: B rows are not padded, so the last B vector is
@@ -42,8 +45,8 @@ LPSGD_SIMD_TARGET_AVX2 LPSGD_HOT_PATH void Tile(const GemmBlock& s,
         continue;
       }
       const __m256 cv = (kMaskC && v == kVecs - 1)
-                            ? _mm256_maskload_ps(crow + 8 * v, tail)
-                            : _mm256_loadu_ps(crow + 8 * v);
+                            ? _mm256_maskload_ps(crow + kLanes * v, tail)
+                            : _mm256_loadu_ps(crow + kLanes * v);
       acc[r][v] = s.beta == 1.0f ? cv : _mm256_mul_ps(cv, beta);
     }
   }
@@ -54,8 +57,8 @@ LPSGD_SIMD_TARGET_AVX2 LPSGD_HOT_PATH void Tile(const GemmBlock& s,
     __m256 bv[kVecs];
     for (int v = 0; v < kVecs; ++v) {
       bv[v] = (kMaskB && v == kVecs - 1)
-                  ? _mm256_maskload_ps(brow + 8 * v, tail)
-                  : _mm256_loadu_ps(brow + 8 * v);
+                  ? _mm256_maskload_ps(brow + kLanes * v, tail)
+                  : _mm256_loadu_ps(brow + kLanes * v);
     }
     const float* acol = a + kk * s.a_k_stride;
     for (int r = 0; r < kRows; ++r) {
@@ -78,9 +81,9 @@ LPSGD_SIMD_TARGET_AVX2 LPSGD_HOT_PATH void Tile(const GemmBlock& s,
     float* crow = s.c + (i0 + r) * s.ldc + j0;
     for (int v = 0; v < kVecs; ++v) {
       if (kMaskC && v == kVecs - 1) {
-        _mm256_maskstore_ps(crow + 8 * v, tail, acc[r][v]);
+        _mm256_maskstore_ps(crow + kLanes * v, tail, acc[r][v]);
       } else {
-        _mm256_storeu_ps(crow + 8 * v, acc[r][v]);
+        _mm256_storeu_ps(crow + kLanes * v, acc[r][v]);
       }
     }
   }
@@ -154,18 +157,18 @@ LPSGD_SIMD_TARGET_AVX2 LPSGD_HOT_PATH inline void Transpose8x8(
   const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
   float* out = panel_block;
   _mm256_storeu_ps(out, _mm256_permute2f128_ps(u0, u4, 0x20));
-  _mm256_storeu_ps(out + kGemmTileCols, _mm256_permute2f128_ps(u1, u5, 0x20));
-  _mm256_storeu_ps(out + 2 * kGemmTileCols,
+  _mm256_storeu_ps(out + kPanelRow, _mm256_permute2f128_ps(u1, u5, 0x20));
+  _mm256_storeu_ps(out + 2 * kPanelRow,
                    _mm256_permute2f128_ps(u2, u6, 0x20));
-  _mm256_storeu_ps(out + 3 * kGemmTileCols,
+  _mm256_storeu_ps(out + 3 * kPanelRow,
                    _mm256_permute2f128_ps(u3, u7, 0x20));
-  _mm256_storeu_ps(out + 4 * kGemmTileCols,
+  _mm256_storeu_ps(out + 4 * kPanelRow,
                    _mm256_permute2f128_ps(u0, u4, 0x31));
-  _mm256_storeu_ps(out + 5 * kGemmTileCols,
+  _mm256_storeu_ps(out + 5 * kPanelRow,
                    _mm256_permute2f128_ps(u1, u5, 0x31));
-  _mm256_storeu_ps(out + 6 * kGemmTileCols,
+  _mm256_storeu_ps(out + 6 * kPanelRow,
                    _mm256_permute2f128_ps(u2, u6, 0x31));
-  _mm256_storeu_ps(out + 7 * kGemmTileCols,
+  _mm256_storeu_ps(out + 7 * kPanelRow,
                    _mm256_permute2f128_ps(u3, u7, 0x31));
 }
 
