@@ -172,18 +172,18 @@ TEST(GemmGoldenTest, OutputBytesMatchPinnedDigests) {
 }
 
 TEST(GemmIsaTest, EverySupportedIsaMatchesScalarBytes) {
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
-    if (!SimdIsaSupported(isa)) continue;
-    SCOPED_TRACE(SimdIsaName(isa));
-    for (const GoldenCase& golden : kGoldenCases) {
-      const GemmShape& s = golden.shape;
-      SCOPED_TRACE(testing::Message() << s.m << "x" << s.k << "x" << s.n);
-      std::vector<Tensor> scalar;
+  for (const GoldenCase& golden : kGoldenCases) {
+    const GemmShape& s = golden.shape;
+    SCOPED_TRACE(testing::Message() << s.m << "x" << s.k << "x" << s.n);
+    std::vector<Tensor> scalar;
+    {
+      ScopedSimdIsa scope(SimdIsa::kScalar);
+      RunShape(s, &scalar);
+    }
+    for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
+      if (!SimdIsaSupported(isa)) continue;
+      SCOPED_TRACE(SimdIsaName(isa));
       std::vector<Tensor> vector;
-      {
-        ScopedSimdIsa scope(SimdIsa::kScalar);
-        RunShape(s, &scalar);
-      }
       {
         ScopedSimdIsa scope(isa);
         RunShape(s, &vector);
