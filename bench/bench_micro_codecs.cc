@@ -13,6 +13,10 @@
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/simd/simd.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/span.h"
+#include "obs/trace.h"
 #include "quant/codec.h"
 #include "quant/workspace.h"
 #include "tensor/tensor.h"
@@ -27,8 +31,34 @@ Tensor MakeGradient(int64_t n) {
   return grad;
 }
 
+// Turns every global span sink off for one benchmark and restores them
+// after, so a --metrics_out/--trace_out run still measures the off path.
+class ScopedSinksOff {
+ public:
+  ScopedSinksOff()
+      : metrics_(obs::MetricsRegistry::Global().enabled()),
+        trace_(obs::Tracer::Global().enabled()),
+        profile_(obs::Profiler::Global().enabled()) {
+    Enable(false, false, false);
+  }
+  ~ScopedSinksOff() { Enable(metrics_, trace_, profile_); }
+
+ private:
+  static void Enable(bool metrics, bool trace, bool profile) {
+    obs::MetricsRegistry::Global().set_enabled(metrics);
+    obs::Tracer::Global().set_enabled(trace);
+    obs::Profiler::Global().set_enabled(profile);
+  }
+
+  bool metrics_;
+  bool trace_;
+  bool profile_;
+};
+
+// `in_span` wraps each Encode in a span naming all three sinks (the shape
+// of a codec entry point's span); the caller keeps the sinks off.
 void RunEncode(benchmark::State& state, const CodecSpec& spec,
-               bool column_matrix = false) {
+               bool column_matrix = false, bool in_span = false) {
   const int64_t n = state.range(0);
   auto codec = spec.Create();
   CHECK_OK(codec.status());
@@ -45,9 +75,21 @@ void RunEncode(benchmark::State& state, const CodecSpec& spec,
   CodecWorkspace workspace;
   std::vector<uint8_t> blob;
   uint64_t tag = 0;
+  obs::PhaseTimes phases;
   for (auto _ : state) {
-    (*codec)->Encode(grad.data(), shape, tag++, error_ptr, &workspace,
-                     &blob);
+    if (in_span) {
+      obs::Span span({.histogram = "bench/encode_seconds",
+                      .trace = "encode",
+                      .category = "bench",
+                      .phases = &phases,
+                      .phase = obs::kPhaseEncode,
+                      .bytes_of = &blob});
+      (*codec)->Encode(grad.data(), shape, tag++, error_ptr, &workspace,
+                       &blob);
+    } else {
+      (*codec)->Encode(grad.data(), shape, tag++, error_ptr, &workspace,
+                       &blob);
+    }
     benchmark::DoNotOptimize(blob.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -85,6 +127,12 @@ void BM_EncodeQsgd2(benchmark::State& state) {
 }
 void BM_EncodeQsgd4(benchmark::State& state) {
   RunEncode(state, QsgdSpec(4));
+}
+// BM_EncodeQsgd4 with every Encode inside a disabled span: its gated
+// throughput against BM_EncodeQsgd4 is the disabled-span overhead.
+void BM_EncodeQsgd4DisabledSpan(benchmark::State& state) {
+  ScopedSinksOff sinks_off;
+  RunEncode(state, QsgdSpec(4), /*column_matrix=*/false, /*in_span=*/true);
 }
 void BM_EncodeQsgd8(benchmark::State& state) {
   RunEncode(state, QsgdSpec(8));
@@ -191,6 +239,7 @@ constexpr int64_t kLarge = 3 << 18;  // ~786k elements
 BENCHMARK(BM_EncodeFullPrecision)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeQsgd2)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeQsgd4)->Arg(kSmall)->Arg(kLarge);
+BENCHMARK(BM_EncodeQsgd4DisabledSpan)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeQsgd8)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeQsgd16)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeOneBitReshaped)->Arg(kSmall)->Arg(kLarge);

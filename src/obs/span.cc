@@ -12,6 +12,16 @@ namespace obs {
 namespace span_internal {
 
 constinit std::atomic<uint32_t> live_sinks{kSinksUnread};
+constinit std::atomic<uint64_t> clock_reads{0};
+
+namespace {
+
+double ReadClock() {
+  clock_reads.fetch_add(1, std::memory_order_relaxed);
+  return MonotonicSeconds();
+}
+
+}  // namespace
 
 bool EnvFlagEnabled(const char* name) {
   const char* env = std::getenv(name);
@@ -44,11 +54,11 @@ void Span::Open() {
   if (!sinks_.trace.empty()) wanted |= kTraceSink;
   if (sinks_.phases != nullptr) wanted |= kProfileSink;
   live_ &= wanted;
-  if (live_ != 0) start_ = MonotonicSeconds();
+  if (live_ != 0) start_ = span_internal::ReadClock();
 }
 
 double Span::Close() {
-  const double elapsed = MonotonicSeconds() - start_;
+  const double elapsed = span_internal::ReadClock() - start_;
   if (sinks_.bytes_of != nullptr) {
     bytes_ = static_cast<int64_t>(sinks_.bytes_of->size());
   }

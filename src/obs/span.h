@@ -118,6 +118,10 @@ enum : uint32_t {
 };
 extern std::atomic<uint32_t> live_sinks;
 
+// Clock reads made by spans, counted next to each read (so never on the
+// every-sink-off path). Tests use it to prove a disabled span is free.
+extern std::atomic<uint64_t> clock_reads;
+
 inline void SetSinkLive(uint32_t sink, bool live) {
   if (live) {
     live_sinks.fetch_or(sink, std::memory_order_relaxed);

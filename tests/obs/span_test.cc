@@ -1,7 +1,6 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "obs/span.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -141,13 +140,14 @@ TEST(SpanTest, DisabledSpanNeverTouchesSinks) {
   EXPECT_EQ(Tracer::Global().event_count(), 0u);
 }
 
-// The acceptance bound on the disabled path: with every sink off, a span
-// carrying all three sinks — the shape of a codec entry point's span —
-// costs <= 1% of encode throughput. Both loops are measured
-// min-of-trials (the minimum is the noise-free estimate).
-TEST(SpanTest, DisabledOverheadOnEncodeHotPathIsUnderOnePercent) {
+// The disabled path's promise, checked as a property rather than a
+// timing: with every sink off, a span carrying all three sinks — the shape
+// of a codec entry point's span — reads no clock and touches no sink over
+// the encode hot path (the codec's own spans included). The timing side
+// lives in bench_micro_codecs' BM_EncodeQsgd4DisabledSpan row, gated in CI.
+TEST(SpanTest, DisabledSpanReadsNoClockOnEncodeHotPath) {
   SinksGuard guard(false, false, false);
-  const int64_t n = 3 << 17;  // ~393k elements, ~1 ms per encode
+  const int64_t n = 3 << 10;
   Tensor grad(Shape({n}));
   Rng rng(42);
   grad.FillGaussian(&rng, 1.0f);
@@ -157,44 +157,40 @@ TEST(SpanTest, DisabledOverheadOnEncodeHotPathIsUnderOnePercent) {
   std::vector<uint8_t> blob;
   PhaseTimes times;
 
-  constexpr int kTrials = 9;
-  constexpr int kEncodesPerTrial = 4;
-  uint64_t tag = 0;
-  // Warm up the workspace/blob capacities out of the measurement.
-  (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr, &workspace,
-                   &blob);
-
-  // Interleave the two variants so machine noise (e.g. the rest of the
-  // test suite running in parallel) hits both minimum pools symmetrically.
-  double plain = 1e300;
-  double instrumented = 1e300;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    double start = MonotonicSeconds();
-    for (int i = 0; i < kEncodesPerTrial; ++i) {
-      (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr,
-                       &workspace, &blob);
-    }
-    plain = std::min(plain, MonotonicSeconds() - start);
-
-    start = MonotonicSeconds();
-    for (int i = 0; i < kEncodesPerTrial; ++i) {
-      Span span({.histogram = "test/encode_seconds",
-                 .trace = "encode",
-                 .category = "test",
-                 .phases = &times,
-                 .phase = kPhaseEncode});
-      (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr,
-                       &workspace, &blob);
-      span.set_bytes(static_cast<int64_t>(blob.size()));
-    }
-    instrumented = std::min(instrumented, MonotonicSeconds() - start);
+  const uint64_t reads_before =
+      span_internal::clock_reads.load(std::memory_order_relaxed);
+  for (uint64_t tag = 0; tag < 16; ++tag) {
+    Span span({.histogram = "test/encode_seconds",
+               .trace = "encode",
+               .category = "test",
+               .phases = &times,
+               .phase = kPhaseEncode});
+    (*codec)->Encode(grad.data(), grad.shape(), tag, nullptr, &workspace,
+                     &blob);
+    span.set_bytes(static_cast<int64_t>(blob.size()));
   }
+  EXPECT_EQ(span_internal::clock_reads.load(std::memory_order_relaxed),
+            reads_before);
+  for (int p = 0; p < kNumProfilePhases; ++p) {
+    EXPECT_EQ(times.calls[p], 0) << "phase " << p;
+  }
+  EXPECT_EQ(
+      MetricsRegistry::Global().HistogramFor("test/encode_seconds").count, 0);
+  EXPECT_TRUE(MetricsRegistry::Global().Names().empty());
+  EXPECT_EQ(Tracer::Global().event_count(), 0u);
+}
 
-  EXPECT_EQ(times.calls[kPhaseEncode], 0) << "spans ran while disabled";
-  // <= 1% relative plus a tiny absolute guard for clock granularity.
-  EXPECT_LE(instrumented, plain * 1.01 + 20e-6)
-      << "disabled-span overhead above 1%: plain " << plain
-      << "s vs instrumented " << instrumented << "s";
+// The counter the check above relies on: an enabled span reads the clock
+// exactly twice, once at open and once at close.
+TEST(SpanTest, EnabledSpanReadsTheClockTwice) {
+  SinksGuard guard(false, true, false);
+  const uint64_t reads_before =
+      span_internal::clock_reads.load(std::memory_order_relaxed);
+  {
+    Span span({.trace = "timed", .category = "test"});
+  }
+  EXPECT_EQ(span_internal::clock_reads.load(std::memory_order_relaxed),
+            reads_before + 2);
 }
 
 // Run by the obs_span_env_test ctest entry with LPSGD_OBS, LPSGD_TRACE and
