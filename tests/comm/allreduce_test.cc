@@ -2,6 +2,7 @@
 #include "comm/allreduce.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "comm/nccl_ring.h"
 #include "machine/specs.h"
 #include "tensor/tensor.h"
+#include "testing/codec_matrix.h"
 
 namespace lpsgd {
 namespace {
@@ -108,22 +110,48 @@ TEST_P(AllReduceRankCountTest, NcclComputesExactSum) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, AllReduceRankCountTest,
                          ::testing::Values(1, 2, 3, 4, 8, 16));
 
-TEST(MpiAllReduceTest, AllRanksReceiveIdenticalQuantizedAggregate) {
-  const int k = 4;
-  auto agg = CreateAggregator(CommPrimitive::kMpi, k, QsgdSpec(4),
-                              Ec2P2_8xlarge(), ExecutionContext::Serial());
-  ASSERT_TRUE(agg.ok());
-  std::vector<TestMatrix> matrices;
-  matrices.push_back(MakeMatrix(Shape({32, 16}), k, 4));
-  auto slots = MakeSlots(matrices, k);
-  ASSERT_TRUE((*agg)->AllReduce(&slots, 0).ok());
-  for (int r = 1; r < k; ++r) {
-    for (int64_t i = 0; i < 512; ++i) {
-      EXPECT_EQ(matrices[0].rank_grads[static_cast<size_t>(r)].at(i),
-                matrices[0].rank_grads[0].at(i));
+// The property the trainer's single optimizer step rests on: after
+// AllReduce every rank's gradient buffer holds the same bytes as rank 0's
+// (memcmp, so NaN payloads and signed zeros count), for every registered
+// codec family over both engines, for a quantized matrix and a matrix the
+// policy bypasses, across two iterations so residual state is live.
+class AllReduceIdentityTest : public RegistryCodecTest {};
+
+TEST_P(AllReduceIdentityTest, AllRanksReceiveIdenticalAggregate) {
+  const CodecCell& cell = GetParam();
+  for (int k : {2, 4, 8}) {
+    SCOPED_TRACE(k);
+    auto agg = CreateAggregator(cell.primitive, k, cell.codec,
+                                Ec2P2_8xlarge(), ExecutionContext::Serial());
+    ASSERT_TRUE(agg.ok()) << agg.status();
+    std::vector<TestMatrix> matrices;
+    matrices.push_back(MakeMatrix(Shape({32, 16}), k, 4));
+    matrices.push_back(MakeMatrix(Shape({24}), k, 5));
+    // Like the trainer, a bypassed matrix carries no residual.
+    for (std::vector<float>& error : matrices[1].rank_errors) error.clear();
+    auto slots = MakeSlots(matrices, k);
+    slots[1].quantized = false;
+    for (uint64_t iteration = 0; iteration < 2; ++iteration) {
+      ASSERT_TRUE((*agg)->AllReduce(&slots, iteration).ok());
+      for (size_t m = 0; m < matrices.size(); ++m) {
+        const size_t bytes =
+            static_cast<size_t>(matrices[m].shape.element_count()) *
+            sizeof(float);
+        for (int r = 1; r < k; ++r) {
+          EXPECT_EQ(std::memcmp(slots[m].rank_grads[static_cast<size_t>(r)],
+                                slots[m].rank_grads[0], bytes),
+                    0)
+              << "matrix " << m << " rank " << r << " iteration "
+              << iteration;
+        }
+      }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Registry, AllReduceIdentityTest,
+                         ::testing::ValuesIn(RegistryCodecCells()),
+                         CodecCellName);
 
 TEST(MpiAllReduceTest, QsgdAggregateIsCloseToExactSum) {
   const int k = 4;
