@@ -216,10 +216,6 @@ void SealWireBlob(uint8_t* blob, int64_t payload_bytes);
                                     int64_t expected_bytes);
 
 // Wire-format helpers shared by codec implementations.
-void AppendFloats(const float* values, int64_t count,
-                  std::vector<uint8_t>* out);
-void AppendWords(const uint32_t* words, int64_t count,
-                 std::vector<uint8_t>* out);
 const float* FloatsAt(const uint8_t* bytes, int64_t offset_bytes);
 const uint32_t* WordsAt(const uint8_t* bytes, int64_t offset_bytes);
 float* MutableFloatsAt(uint8_t* bytes, int64_t offset_bytes);
