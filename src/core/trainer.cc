@@ -83,14 +83,13 @@ StatusOr<std::unique_ptr<SyncTrainer>> SyncTrainer::Create(
   TrainerOptions resolved = options;
   resolved.execution = options.execution.Materialized();
 
+  // Each rank shares rank 0's parameter store as soon as it is built, so
+  // its own initial weights are freed before the next rank's are made.
   std::vector<Network> replicas;
   replicas.reserve(static_cast<size_t>(resolved.num_gpus));
   for (int r = 0; r < resolved.num_gpus; ++r) {
     replicas.push_back(factory(resolved.seed));
-  }
-  // Defend against non-deterministic factories: force identical weights.
-  for (int r = 1; r < resolved.num_gpus; ++r) {
-    replicas[static_cast<size_t>(r)].CopyParamsFrom(replicas[0]);
+    if (r > 0) replicas.back().ShareParamsFrom(replicas[0]);
   }
 
   LPSGD_ASSIGN_OR_RETURN(
@@ -154,6 +153,7 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
                          std::unique_ptr<GradientAggregator> aggregator)
     : options_(std::move(options)),
       replicas_(std::move(replicas)),
+      optimizer_(options_.learning_rate, options_.momentum),
       aggregator_(std::move(aggregator)),
       live_gpus_(static_cast<int>(replicas_.size())),
       active_plan_(options_.fault_tolerance.plan) {
@@ -194,11 +194,8 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
     }
   }
 
-  optimizers_.reserve(replicas_.size());
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    optimizers_.emplace_back(options_.learning_rate, options_.momentum);
-  }
-
+  rank_inputs_.resize(replicas_.size());
+  rank_labels_.resize(replicas_.size());
   slot_phases_.resize(static_cast<size_t>(options_.execution.threads()));
 }
 
@@ -230,7 +227,7 @@ ckpt::TrainerState SyncTrainer::CaptureStateAt(double loss_sum,
                       param.value->data() + param.value->size());
     state.params.push_back(std::move(entry));
   }
-  for (const Tensor& velocity : optimizers_[0].velocity()) {
+  for (const Tensor& velocity : optimizer_.velocity()) {
     ckpt::TensorEntry entry;
     entry.dims = velocity.shape().dims();
     entry.data.assign(velocity.data(), velocity.data() + velocity.size());
@@ -360,23 +357,20 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
       velocity.push_back(std::move(tensor));
     }
   }
-  // All validation passed: start mutating.
+  // All validation passed: start mutating. The ranks share one store.
   for (size_t m = 0; m < state.params.size(); ++m) {
     std::copy(state.params[m].data.begin(), state.params[m].data.end(),
               replica_params_[0][m].value->data());
   }
-  for (size_t r = 1; r < replicas_.size(); ++r) {
-    replicas_[r].CopyParamsFrom(replicas_[0]);
-  }
-  for (auto& optimizer : optimizers_) optimizer.set_velocity(velocity);
-  // Re-derive the effective learning rate for the resume position: the
-  // optimizers are fresh, so schedule entries from earlier epochs must be
-  // re-applied (Train() only applies the entry for the epoch it starts).
+  optimizer_.set_velocity(std::move(velocity));
+  // Re-derive the effective learning rate for the resume position:
+  // schedule entries from earlier epochs must be re-applied (Train() only
+  // applies the entry for the epoch it starts).
   float lr = options_.learning_rate;
   for (const auto& [at_epoch, scheduled] : options_.lr_schedule) {
     if (at_epoch <= state.epochs_completed) lr = scheduled;
   }
-  for (auto& optimizer : optimizers_) optimizer.set_learning_rate(lr);
+  optimizer_.set_learning_rate(lr);
   LPSGD_RETURN_IF_ERROR(ImportResiduals(state.residuals));
   LPSGD_RETURN_IF_ERROR(
       aggregator_->ImportExchangeState(state.aggregator_state));
@@ -440,17 +434,15 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
     return InvalidArgumentError("batch smaller than GPU count");
   }
 
-  const Shape sample_shape = [&] {
-    std::vector<int64_t> dims(batch.inputs.shape().dims().begin() + 1,
-                              batch.inputs.shape().dims().end());
-    return Shape(dims);
-  }();
-  const int64_t sample_elems = sample_shape.element_count();
+  shard_dims_ = batch.inputs.shape().dims();
+  shard_dims_[0] = shard;
+  const int64_t sample_elems = batch.inputs.size() / batch.size();
 
   // Phase 1 (parallel across ranks): local forward/backward on the shard.
-  // Each rank touches only its own replica and shard; the per-rank loss
-  // sums land in disjoint slots and are reduced in rank order below, so
-  // the totals are bit-identical at any thread count.
+  // Each rank writes only its own gradients, caches and shard buffers and
+  // only reads the shared parameters; the per-rank loss sums land in
+  // disjoint slots and are reduced in rank order below, so the totals are
+  // bit-identical at any thread count.
   rank_loss_.assign(static_cast<size_t>(k), 0.0);
   rank_correct_.assign(static_cast<size_t>(k), 0);
   std::vector<double>& rank_loss = rank_loss_;
@@ -466,25 +458,22 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
           const int slot_id = ThreadPool::CurrentSlot();
           CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
           obs::PhaseTimes& phases = slot_phases_[static_cast<size_t>(slot_id)];
-          Network& replica = replicas_[static_cast<size_t>(r)];
+          const size_t ru = static_cast<size_t>(r);
+          Network& replica = replicas_[ru];
 
           LossResult loss = [&] {
             obs::Span forward_span(&phases, obs::kPhaseForward);
-            replica.ZeroGrads();
+            for (ParamRef& param : replica_params_[ru]) param.grad->SetZero();
 
-            std::vector<int64_t> dims;
-            dims.push_back(shard);
-            for (int64_t d : sample_shape.dims()) dims.push_back(d);
-            Tensor inputs{Shape(dims)};
-            std::vector<int> labels(static_cast<size_t>(shard));
+            Tensor& inputs = rank_inputs_[ru];
+            inputs.Resize(shard_dims_);
             const int64_t begin = r * shard;
             std::copy(batch.inputs.data() + begin * sample_elems,
                       batch.inputs.data() + (begin + shard) * sample_elems,
                       inputs.data());
-            for (int64_t i = 0; i < shard; ++i) {
-              labels[static_cast<size_t>(i)] =
-                  batch.labels[static_cast<size_t>(begin + i)];
-            }
+            std::vector<int>& labels = rank_labels_[ru];
+            labels.assign(batch.labels.begin() + begin,
+                          batch.labels.begin() + begin + shard);
 
             Tensor logits = replica.Forward(inputs, /*training=*/true);
             return SoftmaxCrossEntropy(logits, labels);
@@ -526,25 +515,17 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
   virtual_seconds_ += stats.TotalSeconds() +
                       options_.virtual_compute_seconds_per_iter;
 
-  // Phase 3 (parallel across ranks): identical averaged update. Each rank
-  // scales and steps only its own parameters and momentum state.
-  const float inv_k = 1.0f / static_cast<float>(k);
+  // Phase 3: the averaged update, applied once to the shared store. Both
+  // engines leave the same aggregate bytes in every rank's buffer, so rank
+  // 0's gradients stand for all of them.
   {
-    obs::Span update_span(
-        {.trace = "trainer/optimizer_step", .category = "trainer"});
-    LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
-        0, k, [&](int64_t r) -> Status {
-          const int slot_id = ThreadPool::CurrentSlot();
-          CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
-          obs::Span optimizer_span(&slot_phases_[static_cast<size_t>(slot_id)],
-                                   obs::kPhaseOptimizer);
-          for (ParamRef& param : replica_params_[static_cast<size_t>(r)]) {
-            Scale(inv_k, param.grad);
-          }
-          optimizers_[static_cast<size_t>(r)].Step(
-              replica_params_[static_cast<size_t>(r)]);
-          return OkStatus();
-        }));
+    obs::Span update_span({.trace = "trainer/optimizer_step",
+                           .category = "trainer",
+                           .phases = &slot_phases_[0],
+                           .phase = obs::kPhaseOptimizer});
+    const float inv_k = 1.0f / static_cast<float>(k);
+    for (ParamRef& param : replica_params_[0]) Scale(inv_k, param.grad);
+    optimizer_.Step(replica_params_[0]);
   }
 
   // Commit only now that every phase succeeded: a failed iteration must
@@ -589,7 +570,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
     const int epoch = epochs_completed_;
     for (const auto& [at_epoch, lr] : options_.lr_schedule) {
       if (at_epoch == epoch) {
-        for (auto& optimizer : optimizers_) optimizer.set_learning_rate(lr);
+        optimizer_.set_learning_rate(lr);
       }
     }
 
@@ -708,7 +689,6 @@ Status SyncTrainer::DropRank(int rank) {
   }
   const size_t r = static_cast<size_t>(rank);
   replicas_.erase(replicas_.begin() + static_cast<std::ptrdiff_t>(r));
-  optimizers_.erase(optimizers_.begin() + static_cast<std::ptrdiff_t>(r));
   errors_.erase(errors_.begin() + static_cast<std::ptrdiff_t>(r));
   --live_gpus_;
   replica_params_.clear();

@@ -98,16 +98,19 @@ struct EpochMetrics {
 obs::JsonValue EpochMetricsToJson(const EpochMetrics& metrics);
 
 // Synchronous data-parallel SGD over K simulated GPU ranks (Section 2.1).
-// Ranks execute sequentially in program order but semantically in
-// parallel: every rank computes gradients on its shard of the global
-// batch, gradients are exchanged through a GradientAggregator (MPI
-// reduce-and-broadcast or NCCL ring), and each rank applies the identical
-// averaged update — so replicas stay bit-identical, which is also a tested
-// invariant.
+// Every rank computes gradients on its shard of the global batch, the
+// gradients are exchanged through a GradientAggregator (MPI
+// reduce-and-broadcast or NCCL ring), and the averaged update is applied.
+// Every worker of Algorithm 1 applies the same update, so the ranks hold
+// one shared parameter store (params, momentum, one optimizer) instead of
+// k identical copies. Per rank stay the gradients, the layer caches,
+// BatchNorm running statistics, dropout counters and the error-feedback
+// residuals.
 class SyncTrainer {
  public:
-  // Builds one model replica; must be deterministic in `seed` (every rank
-  // starts from identical weights, enforced by copying rank 0's).
+  // Builds one model replica; called once per rank. Every rank's
+  // parameters are then pointed at rank 0's store, so the factory's
+  // initial weights matter only for rank 0.
   using NetworkFactory = std::function<Network(uint64_t seed)>;
 
   [[nodiscard]] static StatusOr<std::unique_ptr<SyncTrainer>> Create(
@@ -137,8 +140,12 @@ class SyncTrainer {
   // Evaluates replica 0 on `dataset` (eval mode).
   EvalResult Evaluate(const Dataset& dataset);
 
-  // Replica `rank`'s network (e.g. for invariant checks).
+  // Replica `rank`'s network (e.g. for invariant checks). Its parameter
+  // values are the shared store; its gradients and caches are its own.
   Network& replica(int rank);
+
+  // The one optimizer (and momentum state) that steps the shared store.
+  const SgdMomentumOptimizer& optimizer() const { return optimizer_; }
 
   // Full durable-trainer state at the current commit point (epoch-boundary
   // view: the epoch-local accumulators are zero). What the durable
@@ -172,7 +179,7 @@ class SyncTrainer {
 
   // Runs one synchronous iteration on `batch`; on success adds the batch's
   // summed loss and correct count to the outputs. On failure nothing is
-  // committed — replicas, optimizers, residuals, the iteration counter,
+  // committed — params, momentum, residuals, the iteration counter,
   // and the epoch accumulators are all as they were before the call (the
   // aggregator contract plus commit-on-success ordering make the iteration
   // a transaction), so a failed step can be retried or rolled over.
@@ -222,9 +229,11 @@ class SyncTrainer {
                      int64_t cursor);
 
   TrainerOptions options_;
+  // One Network per rank, all sharing rank 0's parameter values. The
+  // store is co-owned by the replicas, so DropRank(0) leaves it intact.
   std::vector<Network> replicas_;
   std::vector<std::vector<ParamRef>> replica_params_;  // [rank][matrix]
-  std::vector<SgdMomentumOptimizer> optimizers_;       // one per rank
+  SgdMomentumOptimizer optimizer_;
   std::unique_ptr<GradientAggregator> aggregator_;
   // Error-feedback residuals: [rank][matrix] (empty when codec has none).
   std::vector<std::vector<std::vector<float>>> errors_;
@@ -236,6 +245,10 @@ class SyncTrainer {
   std::vector<MatrixSlot> slots_;
   std::vector<double> rank_loss_;
   std::vector<int64_t> rank_correct_;
+  // Per-rank shard scratch, refilled in place each step.
+  std::vector<int64_t> shard_dims_;
+  std::vector<Tensor> rank_inputs_;
+  std::vector<std::vector<int>> rank_labels_;
   // Per-thread-pool-slot profiler scratch for the forward/backward,
   // staging, and optimizer spans; folded serially at the iteration's
   // commit point (obs/profile.h). Sized to execution.threads().

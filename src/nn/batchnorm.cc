@@ -34,9 +34,9 @@ BatchNormLayer::BatchNormLayer(std::string name, int channels, float momentum,
       channels_(channels),
       momentum_(momentum),
       epsilon_(epsilon),
-      gamma_(Shape({channels}), 1.0f),
+      gamma_(std::make_shared<Tensor>(Shape({channels}), 1.0f)),
       gamma_grad_(Shape({channels})),
-      beta_(Shape({channels})),
+      beta_(std::make_shared<Tensor>(Shape({channels}))),
       beta_grad_(Shape({channels})),
       running_mean_(Shape({channels})),
       running_var_(Shape({channels}), 1.0f) {
@@ -94,7 +94,7 @@ Tensor BatchNormLayer::Forward(const Tensor& input, bool training) {
     const float n = (in[idx] - static_cast<float>(mean[ci])) *
                     cached_inv_std_[ci];
     norm[idx] = n;
-    out[idx] = gamma_.at(c) * n + beta_.at(c);
+    out[idx] = gamma_->at(c) * n + beta_->at(c);
   });
 
   if (training) {
@@ -136,16 +136,16 @@ Tensor BatchNormLayer::Backward(const Tensor& output_grad) {
                         sum_dy[ci] * inv_m -
                         static_cast<double>(xhat[idx]) * sum_dy_xhat[ci] *
                             inv_m;
-    dx[idx] = static_cast<float>(gamma_.at(c) * cached_inv_std_[ci] * term);
+    dx[idx] = static_cast<float>(gamma_->at(c) * cached_inv_std_[ci] * term);
   });
   return input_grad;
 }
 
 void BatchNormLayer::CollectParams(std::vector<ParamRef>* params) {
-  params->push_back(ParamRef{name_ + "/gamma", &gamma_, &gamma_grad_,
-                             Shape({channels_}), ParamKind::kOther});
-  params->push_back(ParamRef{name_ + "/beta", &beta_, &beta_grad_,
-                             Shape({channels_}), ParamKind::kOther});
+  params->push_back(ParamRef{name_ + "/gamma", gamma_.get(), &gamma_grad_,
+                             Shape({channels_}), ParamKind::kOther, &gamma_});
+  params->push_back(ParamRef{name_ + "/beta", beta_.get(), &beta_grad_,
+                             Shape({channels_}), ParamKind::kOther, &beta_});
 }
 
 }  // namespace lpsgd

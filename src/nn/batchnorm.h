@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_BATCHNORM_H_
 #define LPSGD_NN_BATCHNORM_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,9 @@ class BatchNormLayer : public Layer {
   int channels_;
   float momentum_;
   float epsilon_;
-  Tensor gamma_;       // {C}
+  std::shared_ptr<Tensor> gamma_;  // {C}
   Tensor gamma_grad_;  // {C}
-  Tensor beta_;        // {C}
+  std::shared_ptr<Tensor> beta_;   // {C}
   Tensor beta_grad_;   // {C}
   Tensor running_mean_;
   Tensor running_var_;

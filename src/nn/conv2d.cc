@@ -36,16 +36,16 @@ Conv2dLayer::Conv2dLayer(std::string name, int in_channels, int out_channels,
       kernel_size_(kernel_size),
       stride_(stride),
       padding_(padding),
-      weight_(Shape({out_channels,
-                     int64_t{in_channels} * kernel_size * kernel_size})),
-      weight_grad_(weight_.shape()),
-      bias_(Shape({out_channels})),
-      bias_grad_(bias_.shape()) {
+      weight_(std::make_shared<Tensor>(Shape(
+          {out_channels, int64_t{in_channels} * kernel_size * kernel_size}))),
+      weight_grad_(weight_->shape()),
+      bias_(std::make_shared<Tensor>(Shape({out_channels}))),
+      bias_grad_(bias_->shape()) {
   CHECK_GT(kernel_size, 0);
   CHECK_GT(stride, 0);
   const float fan_in =
       static_cast<float>(in_channels) * kernel_size * kernel_size;
-  weight_.FillGaussian(rng, std::sqrt(2.0f / fan_in));
+  weight_->FillGaussian(rng, std::sqrt(2.0f / fan_in));
 }
 
 Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
@@ -84,11 +84,11 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
     Im2Col(image, kernel_size_, kernel_size_, stride_, padding_, &patches);
 
     // out[oc, pos] = sum_k W[oc, k] * patches[pos, k]  (oc x plane matrix).
-    Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, weight_, patches,
+    Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, *weight_, patches,
          0.0f, &out_mat);
     float* out_sample = output.data() + s * sample_out;
     for (int oc = 0; oc < out_channels_; ++oc) {
-      const float b = bias_.at(oc);
+      const float b = bias_->at(oc);
       const float* src = out_mat.data() + int64_t{oc} * plane;
       float* dst = out_sample + int64_t{oc} * plane;
       for (int64_t p = 0; p < plane; ++p) dst[p] = src[p] + b;
@@ -136,7 +136,7 @@ Tensor Conv2dLayer::Backward(const Tensor& output_grad) {
     }
 
     Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, grad_mat,
-         weight_, 0.0f, &patch_grad);
+         *weight_, 0.0f, &patch_grad);
     image_grad.SetZero();
     Col2Im(patch_grad, kernel_size_, kernel_size_, stride_, padding_,
            &image_grad);
@@ -151,12 +151,13 @@ void Conv2dLayer::CollectParams(std::vector<ParamRef>* params) {
   // tensor dimension, so per-column 1bitSGD sees columns of 1-3 elements;
   // this is the performance artefact analyzed in Section 3.2.
   params->push_back(
-      ParamRef{name_ + "/K", &weight_, &weight_grad_,
+      ParamRef{name_ + "/K", weight_.get(), &weight_grad_,
                Shape({kernel_size_, kernel_size_, in_channels_,
                       out_channels_}),
-               ParamKind::kConvolutional});
-  params->push_back(ParamRef{name_ + "/b", &bias_, &bias_grad_,
-                             Shape({out_channels_}), ParamKind::kBias});
+               ParamKind::kConvolutional, &weight_});
+  params->push_back(ParamRef{name_ + "/b", bias_.get(), &bias_grad_,
+                             Shape({out_channels_}), ParamKind::kBias,
+                             &bias_});
 }
 
 Shape Conv2dLayer::OutputShape(const Shape& input_shape) const {

@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_CONV2D_H_
 #define LPSGD_NN_CONV2D_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,9 @@ class Conv2dLayer : public Layer {
   int kernel_size_;
   int stride_;
   int padding_;
-  Tensor weight_;       // {out_c, in_c * k * k}
+  std::shared_ptr<Tensor> weight_;  // {out_c, in_c * k * k}
   Tensor weight_grad_;  // same shape
-  Tensor bias_;         // {out_c}
+  std::shared_ptr<Tensor> bias_;    // {out_c}
   Tensor bias_grad_;    // {out_c}
   Tensor cached_input_;
   // im2col patches per sample from the last Forward, reused in Backward.

@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_DENSE_H_
 #define LPSGD_NN_DENSE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,9 @@ class DenseLayer : public Layer {
   std::string name_;
   int64_t in_features_;
   int64_t out_features_;
-  Tensor weight_;       // {out, in}
+  std::shared_ptr<Tensor> weight_;  // {out, in}
   Tensor weight_grad_;  // {out, in}
-  Tensor bias_;         // {out}
+  std::shared_ptr<Tensor> bias_;    // {out}
   Tensor bias_grad_;    // {out}
   Tensor cached_input_;
   Tensor bias_batch_grad_;  // {out}: Backward's column sums of dY

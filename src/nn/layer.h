@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_LAYER_H_
 #define LPSGD_NN_LAYER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,17 +29,24 @@ enum class ParamKind {
 // CNTK's first dimension is the (tiny) kernel width, which is what makes
 // the stock per-column 1bitSGD pathological on convolutional networks; we
 // reproduce that layout faithfully.
+//
+// A layer holds each parameter value behind a shared handle (`store`) and
+// its gradient by value, so data-parallel replicas can read one parameter
+// store (Network::ShareParamsFrom) while each accumulates its own
+// gradients. `value` is the tensor the handle currently points at.
 struct ParamRef {
   std::string name;
   Tensor* value = nullptr;
   Tensor* grad = nullptr;
   Shape quant_shape;
   ParamKind kind = ParamKind::kOther;
+  std::shared_ptr<Tensor>* store = nullptr;
 };
 
 // One differentiable network module. Layers cache whatever they need from
 // Forward to run Backward; a layer instance therefore belongs to exactly
-// one replica and one in-flight batch at a time.
+// one replica and one in-flight batch at a time. Forward and Backward only
+// read parameter values, so replicas that share them may run concurrently.
 class Layer {
  public:
   virtual ~Layer() = default;

@@ -46,18 +46,18 @@ LstmLayer::LstmLayer(std::string name, int input_dim, int hidden_dim,
       input_dim_(input_dim),
       hidden_dim_(hidden_dim),
       return_sequences_(return_sequences),
-      wx_(Shape({4 * hidden_dim, input_dim})),
-      wx_grad_(wx_.shape()),
-      wh_(Shape({4 * hidden_dim, hidden_dim})),
-      wh_grad_(wh_.shape()),
-      bias_(Shape({4 * hidden_dim})),
-      bias_grad_(bias_.shape()) {
+      wx_(std::make_shared<Tensor>(Shape({4 * hidden_dim, input_dim}))),
+      wx_grad_(wx_->shape()),
+      wh_(std::make_shared<Tensor>(Shape({4 * hidden_dim, hidden_dim}))),
+      wh_grad_(wh_->shape()),
+      bias_(std::make_shared<Tensor>(Shape({4 * hidden_dim}))),
+      bias_grad_(bias_->shape()) {
   CHECK_GT(input_dim, 0);
   CHECK_GT(hidden_dim, 0);
-  wx_.FillGaussian(rng, std::sqrt(1.0f / static_cast<float>(input_dim)));
-  wh_.FillGaussian(rng, std::sqrt(1.0f / static_cast<float>(hidden_dim)));
+  wx_->FillGaussian(rng, std::sqrt(1.0f / static_cast<float>(input_dim)));
+  wh_->FillGaussian(rng, std::sqrt(1.0f / static_cast<float>(hidden_dim)));
   // Forget-gate bias starts at 1 (standard practice: remember by default).
-  for (int j = 0; j < hidden_dim; ++j) bias_.at(hidden_dim + j) = 1.0f;
+  for (int j = 0; j < hidden_dim; ++j) bias_->at(hidden_dim + j) = 1.0f;
 }
 
 Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
@@ -73,9 +73,9 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
   Tensor& h = scratch.h;
   Tensor& c = scratch.c;
   wx_t.Resize({input_dim_, h4});
-  Transpose(wx_, &wx_t);
+  Transpose(*wx_, &wx_t);
   wh_t.Resize({hidden_dim_, h4});
-  Transpose(wh_, &wh_t);
+  Transpose(*wh_, &wh_t);
   if (steps_.size() < static_cast<size_t>(time)) {
     steps_.resize(static_cast<size_t>(time));
   }
@@ -101,7 +101,7 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
     gates.Resize({batch, h4});
     Gemm(false, false, 1.0f, step.x, wx_t, 0.0f, &gates);
     Gemm(false, false, 1.0f, step.h_prev, wh_t, 1.0f, &gates);
-    AddRowBroadcast(bias_, &gates);
+    AddRowBroadcast(*bias_, &gates);
 
     step.c.Resize({batch, hidden_dim_});
     step.tanh_c.Resize({batch, hidden_dim_});
@@ -230,13 +230,13 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
     Axpy(1.0f, db, &bias_grad_);
 
     // Input and recurrent gradients.
-    Gemm(false, false, 1.0f, dgates, wx_, 0.0f, &dx);
+    Gemm(false, false, 1.0f, dgates, *wx_, 0.0f, &dx);
     for (int64_t b = 0; b < batch; ++b) {
       float* dst = input_grad.data() + (b * time + t) * input_dim_;
       std::copy(dx.data() + b * input_dim_, dx.data() + (b + 1) * input_dim_,
                 dst);
     }
-    Gemm(false, false, 1.0f, dgates, wh_, 0.0f, &dh_next);
+    Gemm(false, false, 1.0f, dgates, *wh_, 0.0f, &dh_next);
 
     std::swap(dh, dh_next);
     std::swap(dc, dc_next);
@@ -245,14 +245,15 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
 }
 
 void LstmLayer::CollectParams(std::vector<ParamRef>* params) {
-  params->push_back(ParamRef{name_ + "/Wx", &wx_, &wx_grad_,
+  params->push_back(ParamRef{name_ + "/Wx", wx_.get(), &wx_grad_,
                              Shape({4 * hidden_dim_, input_dim_}),
-                             ParamKind::kFullyConnected});
-  params->push_back(ParamRef{name_ + "/Wh", &wh_, &wh_grad_,
+                             ParamKind::kFullyConnected, &wx_});
+  params->push_back(ParamRef{name_ + "/Wh", wh_.get(), &wh_grad_,
                              Shape({4 * hidden_dim_, hidden_dim_}),
-                             ParamKind::kFullyConnected});
-  params->push_back(ParamRef{name_ + "/b", &bias_, &bias_grad_,
-                             Shape({4 * hidden_dim_}), ParamKind::kBias});
+                             ParamKind::kFullyConnected, &wh_});
+  params->push_back(ParamRef{name_ + "/b", bias_.get(), &bias_grad_,
+                             Shape({4 * hidden_dim_}), ParamKind::kBias,
+                             &bias_});
 }
 
 Shape LstmLayer::OutputShape(const Shape& input_shape) const {

@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_LSTM_H_
 #define LPSGD_NN_LSTM_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,11 +33,11 @@ class LstmLayer : public Layer {
   int input_dim_;
   int hidden_dim_;
   bool return_sequences_;
-  Tensor wx_;       // {4h, input_dim}
+  std::shared_ptr<Tensor> wx_;    // {4h, input_dim}
   Tensor wx_grad_;
-  Tensor wh_;       // {4h, hidden_dim}
+  std::shared_ptr<Tensor> wh_;    // {4h, hidden_dim}
   Tensor wh_grad_;
-  Tensor bias_;     // {4h}
+  std::shared_ptr<Tensor> bias_;  // {4h}
   Tensor bias_grad_;
 
   // Per-timestep caches from the last Forward: the first num_steps_

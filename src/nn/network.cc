@@ -50,14 +50,16 @@ int64_t Network::ParameterCount() {
   return count;
 }
 
-void Network::CopyParamsFrom(Network& other) {
+void Network::ShareParamsFrom(Network& owner) {
   std::vector<ParamRef> mine = Params();
-  std::vector<ParamRef> theirs = other.Params();
+  std::vector<ParamRef> theirs = owner.Params();
   CHECK_EQ(mine.size(), theirs.size());
   for (size_t i = 0; i < mine.size(); ++i) {
     CHECK(mine[i].value->shape() == theirs[i].value->shape())
         << mine[i].name;
-    *mine[i].value = *theirs[i].value;
+    CHECK(mine[i].store != nullptr && theirs[i].store != nullptr)
+        << mine[i].name;
+    *mine[i].store = *theirs[i].store;
   }
 }
 

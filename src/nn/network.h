@@ -12,7 +12,8 @@ namespace lpsgd {
 
 // A sequential stack of layers ending in classification logits. Owns its
 // layers. One Network instance is one model replica (e.g. one simulated
-// GPU's copy).
+// GPU's): its own gradients, layer caches and BatchNorm statistics, and
+// parameter values that ShareParamsFrom can point at another replica's.
 class Network {
  public:
   Network() = default;
@@ -44,9 +45,11 @@ class Network {
   int num_layers() const { return static_cast<int>(layers_.size()); }
   Layer& layer(int i) { return *layers_[static_cast<size_t>(i)]; }
 
-  // Copies all parameter values from `other` (architectures must match;
-  // used to give every data-parallel replica identical initial weights).
-  void CopyParamsFrom(Network& other);
+  // Points every parameter of this network at `owner`'s value tensor
+  // (architectures must match), so both read and write one store. The
+  // store is co-owned: it outlives whichever of the two is destroyed
+  // first. Gradients and all other layer state stay per network.
+  void ShareParamsFrom(Network& owner);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

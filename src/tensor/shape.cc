@@ -19,6 +19,11 @@ void Shape::Assign(std::initializer_list<int64_t> dims) {
   dims_.assign(dims);
 }
 
+void Shape::Assign(const std::vector<int64_t>& dims) {
+  for (int64_t d : dims) CHECK_GE(d, 0);
+  dims_.assign(dims.begin(), dims.end());
+}
+
 int64_t Shape::dim(int i) const {
   CHECK_GE(i, 0);
   CHECK_LT(i, ndim());

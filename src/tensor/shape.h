@@ -21,6 +21,7 @@ class Shape {
   // Replaces the dimensions in place, reusing the storage when the rank
   // does not grow.
   void Assign(std::initializer_list<int64_t> dims);
+  void Assign(const std::vector<int64_t>& dims);
 
   int ndim() const { return static_cast<int>(dims_.size()); }
   int64_t dim(int i) const;

@@ -44,6 +44,11 @@ void Tensor::Resize(std::initializer_list<int64_t> dims) {
   data_.resize(static_cast<size_t>(shape_.element_count()));
 }
 
+void Tensor::Resize(const std::vector<int64_t>& dims) {
+  shape_.Assign(dims);
+  data_.resize(static_cast<size_t>(shape_.element_count()));
+}
+
 double Tensor::SumSquares() const {
   double sum = 0.0;
   for (float x : data_) sum += static_cast<double>(x) * x;

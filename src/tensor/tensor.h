@@ -58,6 +58,7 @@ class Tensor {
   // buffer. The storage only grows, so a buffer reused at shapes it has
   // already held allocates nothing. Element values are unspecified.
   void Resize(std::initializer_list<int64_t> dims);
+  void Resize(const std::vector<int64_t>& dims);
 
   // Sum of squares and norms over all elements.
   double SumSquares() const;

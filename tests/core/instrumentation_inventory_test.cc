@@ -165,7 +165,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -180,8 +180,8 @@ counter comm/raw_bytes 5408
 histogram comm/virtual_comm_seconds 2
 histogram comm/virtual_encode_seconds 2
 counter comm/wire_bytes 960
-counter pool/parallel_for_calls 8
-counter pool/tasks 56
+counter pool/parallel_for_calls 6
+counter pool/tasks 48
 histogram quant/decode_seconds 20
 counter quant/encode_bytes 3360
 histogram quant/encode_seconds 20
@@ -209,7 +209,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -242,7 +242,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 0
 phase wire 32
 phase decode 0
@@ -257,8 +257,8 @@ counter comm/raw_bytes 5408
 histogram comm/virtual_comm_seconds 2
 histogram comm/virtual_encode_seconds 2
 counter comm/wire_bytes 960
-counter pool/parallel_for_calls 6
-counter pool/tasks 48
+counter pool/parallel_for_calls 4
+counter pool/tasks 40
 histogram trainer/epoch_seconds 1
 counter trainer/epochs 1
 histogram trainer/eval_seconds 1
@@ -277,7 +277,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 0
 phase wire 32
 phase decode 0
@@ -319,7 +319,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 24
@@ -334,8 +334,8 @@ counter comm/raw_bytes 5408
 histogram comm/virtual_comm_seconds 2
 histogram comm/virtual_encode_seconds 2
 counter comm/wire_bytes 2008
-counter pool/parallel_for_calls 8
-counter pool/tasks 56
+counter pool/parallel_for_calls 6
+counter pool/tasks 48
 histogram quant/decode_seconds 20
 counter quant/encode_bytes 8600
 histogram quant/encode_seconds 20
@@ -363,7 +363,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 24
@@ -403,7 +403,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 16
 phase wire 20
 phase decode 16
@@ -418,8 +418,8 @@ counter comm/raw_bytes 5408
 histogram comm/virtual_comm_seconds 2
 histogram comm/virtual_encode_seconds 2
 counter comm/wire_bytes 7168
-counter pool/parallel_for_calls 10
-counter pool/tasks 88
+counter pool/parallel_for_calls 8
+counter pool/tasks 80
 histogram quant/decode_seconds 16
 counter quant/encode_bytes 6880
 histogram quant/encode_seconds 16
@@ -445,7 +445,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 16
 phase wire 20
 phase decode 16
@@ -482,7 +482,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 0
 phase wire 8
 phase decode 0
@@ -524,7 +524,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -566,7 +566,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -608,7 +608,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -650,7 +650,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -692,7 +692,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20
@@ -734,7 +734,7 @@ trace trainer trainer/rank_forward_backward x8
 profile steps 2
 phase forward 8
 phase backward 8
-phase optimizer 8
+phase optimizer 2
 phase encode 20
 phase wire 8
 phase decode 20

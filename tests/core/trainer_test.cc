@@ -117,6 +117,35 @@ TEST(TrainerOptionsValidateTest, RejectsNegativeThreadRequest) {
   EXPECT_FALSE(SyncTrainer::Create(MlpFactory({16, 8, 4}), options).ok());
 }
 
+// The ranks hold one parameter store, not k copies: every rank's value
+// tensor is rank 0's (pointer-equal), every rank keeps its own gradients,
+// and one optimizer holds one momentum tensor per matrix. Checked after
+// training, so a step that rebound or copied a replica would show.
+TEST(SyncTrainerTest, RanksShareOneParameterStore) {
+  const int gpus = 4;
+  auto trainer = SyncTrainer::Create(MlpFactory({16, 12, 4}),
+                                     BaseOptions(gpus, QsgdSpec(4)));
+  ASSERT_TRUE(trainer.ok());
+  ASSERT_TRUE((*trainer)->Train(TrainSet(64), TestSet(32), 1).ok());
+
+  const std::vector<ParamRef> params0 = (*trainer)->replica(0).Params();
+  for (int r = 1; r < gpus; ++r) {
+    const std::vector<ParamRef> params = (*trainer)->replica(r).Params();
+    ASSERT_EQ(params.size(), params0.size());
+    for (size_t m = 0; m < params.size(); ++m) {
+      EXPECT_EQ(params[m].value, params0[m].value)
+          << "rank " << r << " matrix " << params[m].name;
+      EXPECT_NE(params[m].grad, params0[m].grad)
+          << "rank " << r << " matrix " << params[m].name;
+    }
+  }
+  const std::vector<Tensor>& momentum = (*trainer)->optimizer().velocity();
+  ASSERT_EQ(momentum.size(), params0.size());
+  for (size_t m = 0; m < params0.size(); ++m) {
+    EXPECT_EQ(momentum[m].shape(), params0[m].value->shape());
+  }
+}
+
 // Central invariant of synchronous data-parallel SGD: all replicas remain
 // bit-identical after every iteration, for every codec.
 class ReplicaConsistencyTest

@@ -2,6 +2,7 @@
 #include "nn/network.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,10 +62,10 @@ TEST(NetworkTest, ZeroGradsClearsAccumulation) {
   }
 }
 
-TEST(NetworkTest, CopyParamsFromMakesReplicasIdentical) {
+TEST(NetworkTest, ShareParamsFromMakesReplicasReadOneStore) {
   Network a = TwoLayerNet(1);
   Network b = TwoLayerNet(99);  // different init
-  b.CopyParamsFrom(a);
+  b.ShareParamsFrom(a);
   Tensor input(Shape({3, 4}));
   Rng rng(5);
   input.FillGaussian(&rng, 1.0f);
@@ -73,6 +74,38 @@ TEST(NetworkTest, CopyParamsFromMakesReplicasIdentical) {
   for (int64_t i = 0; i < out_a.size(); ++i) {
     EXPECT_EQ(out_a.at(i), out_b.at(i));
   }
+
+  // A write through the owner is what the sharer reads; the gradients
+  // stay per network.
+  std::vector<ParamRef> owner = a.Params();
+  std::vector<ParamRef> sharer = b.Params();
+  ASSERT_EQ(owner.size(), sharer.size());
+  for (size_t m = 0; m < owner.size(); ++m) {
+    EXPECT_EQ(sharer[m].value, owner[m].value) << owner[m].name;
+    EXPECT_NE(sharer[m].grad, owner[m].grad) << owner[m].name;
+  }
+  owner[0].value->at(0) += 1.0f;
+  EXPECT_EQ(sharer[0].value->at(0), owner[0].value->at(0));
+  out_a = a.Forward(input, false);
+  out_b = b.Forward(input, false);
+  for (int64_t i = 0; i < out_a.size(); ++i) {
+    EXPECT_EQ(out_a.at(i), out_b.at(i));
+  }
+}
+
+TEST(NetworkTest, SharedStoreOutlivesItsOwner) {
+  Network b = TwoLayerNet(99);
+  std::vector<float> expected;
+  {
+    Network a = TwoLayerNet(1);
+    b.ShareParamsFrom(a);
+    const Tensor& w = *a.Params()[0].value;
+    expected.assign(w.data(), w.data() + w.size());
+  }
+  const Tensor& w = *b.Params()[0].value;
+  EXPECT_EQ(std::vector<float>(w.data(), w.data() + w.size()), expected);
+  Tensor logits = b.Forward(Tensor(Shape({2, 4}), 1.0f), false);
+  EXPECT_EQ(logits.shape(), Shape({2, 3}));
 }
 
 TEST(SoftmaxCrossEntropyTest, PerfectPredictionHasLowLoss) {
