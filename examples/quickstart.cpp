@@ -40,8 +40,8 @@ int main() {
   options.primitive = CommPrimitive::kMpi;
   options.machine = Ec2P2_8xlarge();
 
-  // 3. Every rank builds the same model; the trainer keeps replicas
-  //    bit-identical through the synchronous exchange.
+  // 3. Every rank builds the same model; the ranks then share one set of
+  //    parameters, stepped once per iteration with the averaged gradient.
   auto trainer = SyncTrainer::Create(
       [](uint64_t seed) { return BuildMlp({64, 48, 5}, seed); }, options);
   if (!trainer.ok()) {

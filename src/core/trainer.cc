@@ -83,8 +83,7 @@ StatusOr<std::unique_ptr<SyncTrainer>> SyncTrainer::Create(
   TrainerOptions resolved = options;
   resolved.execution = options.execution.Materialized();
 
-  // Each rank shares rank 0's parameter store as soon as it is built, so
-  // its own initial weights are freed before the next rank's are made.
+  // Sharing inside the loop frees each rank's own initial weights early.
   std::vector<Network> replicas;
   replicas.reserve(static_cast<size_t>(resolved.num_gpus));
   for (int r = 0; r < resolved.num_gpus; ++r) {
@@ -162,9 +161,6 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
     replica_params_.push_back(replica.Params());
   }
   const size_t num_matrices = replica_params_[0].size();
-  for (const auto& params : replica_params_) {
-    CHECK_EQ(params.size(), num_matrices);
-  }
 
   quantize_matrix_ =
       ChooseQuantizedMatrices(replica_params_[0], options_.policy);
@@ -357,7 +353,7 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
       velocity.push_back(std::move(tensor));
     }
   }
-  // All validation passed: start mutating. The ranks share one store.
+  // All validation passed: start mutating.
   for (size_t m = 0; m < state.params.size(); ++m) {
     std::copy(state.params[m].data.begin(), state.params[m].data.end(),
               replica_params_[0][m].value->data());
@@ -690,11 +686,9 @@ Status SyncTrainer::DropRank(int rank) {
   const size_t r = static_cast<size_t>(rank);
   replicas_.erase(replicas_.begin() + static_cast<std::ptrdiff_t>(r));
   errors_.erase(errors_.begin() + static_cast<std::ptrdiff_t>(r));
+  replica_params_.erase(replica_params_.begin() +
+                        static_cast<std::ptrdiff_t>(r));
   --live_gpus_;
-  replica_params_.clear();
-  for (Network& replica : replicas_) {
-    replica_params_.push_back(replica.Params());
-  }
 
   // The survivors need a fresh aggregator sized to the new rank count; the
   // satisfied crash is stripped so the rebuilt injector does not re-abort.

@@ -66,10 +66,10 @@ struct TrainerOptions {
   // different rank count. Default-constructed = disabled.
   ckpt::DurableCheckpointOptions durable_checkpoint;
 
-  // Host-side execution of the per-rank work (forward/backward, codec
-  // kernels, optimizer steps). Defaults to one pool sized to the hardware
-  // concurrency; ExecutionContext::Serial() reproduces the historical
-  // rank-by-rank order. Results are bit-identical at any thread count.
+  // Host-side execution of the per-rank work (forward/backward and codec
+  // kernels). Defaults to one pool sized to the hardware concurrency;
+  // ExecutionContext::Serial() reproduces the historical rank-by-rank
+  // order. Results are bit-identical at any thread count.
   ExecutionContext execution;
 
   // Checks the configuration for internal consistency: num_gpus >= 1, the
@@ -100,17 +100,13 @@ obs::JsonValue EpochMetricsToJson(const EpochMetrics& metrics);
 // Synchronous data-parallel SGD over K simulated GPU ranks (Section 2.1).
 // Every rank computes gradients on its shard of the global batch, the
 // gradients are exchanged through a GradientAggregator (MPI
-// reduce-and-broadcast or NCCL ring), and the averaged update is applied.
-// Every worker of Algorithm 1 applies the same update, so the ranks hold
-// one shared parameter store (params, momentum, one optimizer) instead of
-// k identical copies. Per rank stay the gradients, the layer caches,
-// BatchNorm running statistics, dropout counters and the error-feedback
-// residuals.
+// reduce-and-broadcast or NCCL ring), and the averaged update is applied
+// once to the parameter store (params, momentum, optimizer) all ranks
+// share. Gradients, layer caches and residuals stay per rank.
 class SyncTrainer {
  public:
-  // Builds one model replica; called once per rank. Every rank's
-  // parameters are then pointed at rank 0's store, so the factory's
-  // initial weights matter only for rank 0.
+  // Builds one model replica, once per rank; every rank then shares rank
+  // 0's parameters, so only rank 0's initial weights are used.
   using NetworkFactory = std::function<Network(uint64_t seed)>;
 
   [[nodiscard]] static StatusOr<std::unique_ptr<SyncTrainer>> Create(
@@ -140,8 +136,7 @@ class SyncTrainer {
   // Evaluates replica 0 on `dataset` (eval mode).
   EvalResult Evaluate(const Dataset& dataset);
 
-  // Replica `rank`'s network (e.g. for invariant checks). Its parameter
-  // values are the shared store; its gradients and caches are its own.
+  // Replica `rank`'s network (e.g. for invariant checks).
   Network& replica(int rank);
 
   // The one optimizer (and momentum state) that steps the shared store.
@@ -229,9 +224,7 @@ class SyncTrainer {
                      int64_t cursor);
 
   TrainerOptions options_;
-  // One Network per rank, all sharing rank 0's parameter values. The
-  // store is co-owned by the replicas, so DropRank(0) leaves it intact.
-  std::vector<Network> replicas_;
+  std::vector<Network> replicas_;  // all sharing rank 0's parameter store
   std::vector<std::vector<ParamRef>> replica_params_;  // [rank][matrix]
   SgdMomentumOptimizer optimizer_;
   std::unique_ptr<GradientAggregator> aggregator_;

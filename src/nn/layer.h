@@ -29,11 +29,8 @@ enum class ParamKind {
 // CNTK's first dimension is the (tiny) kernel width, which is what makes
 // the stock per-column 1bitSGD pathological on convolutional networks; we
 // reproduce that layout faithfully.
-//
-// A layer holds each parameter value behind a shared handle (`store`) and
-// its gradient by value, so data-parallel replicas can read one parameter
-// store (Network::ShareParamsFrom) while each accumulates its own
-// gradients. `value` is the tensor the handle currently points at.
+// `store` is the layer's shared handle to `value`, which
+// Network::ShareParamsFrom rebinds; gradients are never shared.
 struct ParamRef {
   std::string name;
   Tensor* value = nullptr;

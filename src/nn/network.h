@@ -45,10 +45,9 @@ class Network {
   int num_layers() const { return static_cast<int>(layers_.size()); }
   Layer& layer(int i) { return *layers_[static_cast<size_t>(i)]; }
 
-  // Points every parameter of this network at `owner`'s value tensor
-  // (architectures must match), so both read and write one store. The
-  // store is co-owned: it outlives whichever of the two is destroyed
-  // first. Gradients and all other layer state stay per network.
+  // Points every parameter value at `owner`'s tensor (architectures must
+  // match). The two co-own the store, so it outlives either network;
+  // gradients and all other layer state stay per network.
   void ShareParamsFrom(Network& owner);
 
  private:

@@ -14,15 +14,6 @@ namespace span_internal {
 constinit std::atomic<uint32_t> live_sinks{kSinksUnread};
 constinit std::atomic<uint64_t> clock_reads{0};
 
-namespace {
-
-double ReadClock() {
-  clock_reads.fetch_add(1, std::memory_order_relaxed);
-  return MonotonicSeconds();
-}
-
-}  // namespace
-
 bool EnvFlagEnabled(const char* name) {
   const char* env = std::getenv(name);
   return env != nullptr && env[0] != '\0' &&
@@ -54,11 +45,14 @@ void Span::Open() {
   if (!sinks_.trace.empty()) wanted |= kTraceSink;
   if (sinks_.phases != nullptr) wanted |= kProfileSink;
   live_ &= wanted;
-  if (live_ != 0) start_ = span_internal::ReadClock();
+  if (live_ == 0) return;
+  span_internal::clock_reads.fetch_add(1, std::memory_order_relaxed);
+  start_ = MonotonicSeconds();
 }
 
 double Span::Close() {
-  const double elapsed = span_internal::ReadClock() - start_;
+  span_internal::clock_reads.fetch_add(1, std::memory_order_relaxed);
+  const double elapsed = MonotonicSeconds() - start_;
   if (sinks_.bytes_of != nullptr) {
     bytes_ = static_cast<int64_t>(sinks_.bytes_of->size());
   }
