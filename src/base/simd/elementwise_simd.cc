@@ -104,6 +104,12 @@ void StoreF64AsF32(const double* acc, float* out, int64_t n) {
   for (; i + 4 <= n; i += 4) {
     _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_loadu_pd(acc + i)));
   }
+  // The loop compiles to `vcvtpd2psy (mem), %xmm0`, a 256-bit op that
+  // names no ymm register, so GCC inserts no vzeroupper before the
+  // returns. Returning dirty makes every later SSE instruction in the
+  // caller (libm in the batch generator above all) pay the transition
+  // penalty.
+  _mm256_zeroupper();
   for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 

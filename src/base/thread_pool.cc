@@ -64,9 +64,11 @@ void SetMetricHooks(CountHook count, ObserveHook observe) {
 // One ParallelFor invocation. Heap-allocated and shared with the workers
 // so a late-waking worker can never touch a dead stack frame.
 struct ThreadPool::Batch {
+  explicit Batch(FunctionRef<Status(int64_t)> body) : fn(body) {}
+
   int64_t end = 0;
   int64_t total = 0;  // indices in the batch
-  const std::function<Status(int64_t)>* fn = nullptr;
+  FunctionRef<Status(int64_t)> fn;
   double posted_at = 0.0;
   std::atomic<int64_t> next{0};
   std::atomic<bool> failed{false};
@@ -142,7 +144,7 @@ void ThreadPool::RunTasks(Batch& batch, bool record_queue_wait) {
     if (i >= batch.end) break;
     if (!batch.failed.load(std::memory_order_acquire)) {
       try {
-        Status status = (*batch.fn)(i);
+        Status status = batch.fn(i);
         if (!status.ok()) {
           RecordFailure(batch, i, std::move(status), nullptr);
         }
@@ -161,7 +163,7 @@ void ThreadPool::RunTasks(Batch& batch, bool record_queue_wait) {
 }
 
 Status ThreadPool::ParallelFor(int64_t begin, int64_t end,
-                               const std::function<Status(int64_t)>& fn) {
+                               FunctionRef<Status(int64_t)> fn) {
   if (end <= begin) return OkStatus();
   const int64_t count = end - begin;
   if (count == 1 || workers_.empty() || tls_in_pool_task) {
@@ -178,10 +180,9 @@ Status ThreadPool::ParallelFor(int64_t begin, int64_t end,
     hook("pool/parallel_for_calls", 1);
   }
 
-  auto batch = std::make_shared<Batch>();
+  auto batch = std::make_shared<Batch>(fn);
   batch->end = end;
   batch->total = count;
-  batch->fn = &fn;
   batch->posted_at = NowSeconds();
   batch->next.store(begin, std::memory_order_relaxed);
 
@@ -242,9 +243,8 @@ ExecutionContext ExecutionContext::Materialized() const {
   return context;
 }
 
-Status ExecutionContext::ParallelFor(
-    int64_t begin, int64_t end,
-    const std::function<Status(int64_t)>& fn) const {
+Status ExecutionContext::ParallelFor(int64_t begin, int64_t end,
+                                     FunctionRef<Status(int64_t)> fn) const {
   if (pool == nullptr || pool->num_threads() <= 1) {
     for (int64_t i = begin; i < end; ++i) {
       LPSGD_RETURN_IF_ERROR(fn(i));

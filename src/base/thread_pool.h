@@ -20,12 +20,12 @@
 #define LPSGD_BASE_THREAD_POOL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/function_ref.h"
 #include "base/mutex.h"
 #include "base/status.h"
 #include "base/thread_annotations.h"
@@ -61,14 +61,15 @@ class ThreadPool {
   // indices finished. Empty ranges return OK immediately; single-element
   // ranges, 1-thread pools, and nested calls from inside a pool task run
   // inline on the calling thread. Concurrent submissions from different
-  // user threads serialize.
+  // user threads serialize. `fn` is only referenced, which is safe because
+  // the call blocks until every index ran.
   //
   // On failure the Status of the lowest-index failing call observed is
   // returned after the batch drains (remaining indices are skipped). An
   // exception escaping `fn` is captured and rethrown here, on the
   // submitting thread.
   [[nodiscard]] Status ParallelFor(int64_t begin, int64_t end,
-                                   const std::function<Status(int64_t)>& fn)
+                                   FunctionRef<Status(int64_t)> fn)
       LPSGD_EXCLUDES(submit_mu_, mu_);
 
   // True while the calling thread is executing a ParallelFor task (worker
@@ -138,9 +139,8 @@ struct ExecutionContext {
 
   // Runs fn over [begin, end): on the pool when parallel, inline
   // otherwise. Same failure contract as ThreadPool::ParallelFor.
-  [[nodiscard]] Status ParallelFor(
-      int64_t begin, int64_t end,
-      const std::function<Status(int64_t)>& fn) const;
+  [[nodiscard]] Status ParallelFor(int64_t begin, int64_t end,
+                                   FunctionRef<Status(int64_t)> fn) const;
 
   // Human-readable summary for CLI run headers, e.g. "serial (1 thread)"
   // or "parallel (8 threads)".

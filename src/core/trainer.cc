@@ -471,14 +471,14 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
             labels.assign(batch.labels.begin() + begin,
                           batch.labels.begin() + begin + shard);
 
-            Tensor logits = replica.Forward(inputs, /*training=*/true);
-            return SoftmaxCrossEntropy(logits, labels);
+            return SoftmaxCrossEntropy(
+                replica.Forward(inputs, /*training=*/true), labels);
           }();
           rank_loss[static_cast<size_t>(r)] = loss.loss_sum;
           rank_correct[static_cast<size_t>(r)] = loss.correct;
           {
             obs::Span backward_span(&phases, obs::kPhaseBackward);
-            replica.Backward(loss.logits_grad);
+            replica.Backward(std::move(loss.logits_grad));
           }
           return OkStatus();
         }));
@@ -793,6 +793,7 @@ EvalResult SyncTrainer::Evaluate(const Dataset& dataset) {
   Network& net = replicas_[0];
   const int64_t batch_size = options_.eval_batch_size;
   std::vector<int64_t> indices;
+  Batch batch;
   for (int64_t begin = 0; begin < dataset.NumSamples();
        begin += batch_size) {
     const int64_t end = std::min(begin + batch_size, dataset.NumSamples());
@@ -800,7 +801,7 @@ EvalResult SyncTrainer::Evaluate(const Dataset& dataset) {
     for (int64_t i = begin; i < end; ++i) {
       indices[static_cast<size_t>(i - begin)] = i;
     }
-    const Batch batch = MakeBatch(dataset, indices);
+    MakeBatch(dataset, indices, &batch);
     Tensor logits = net.Forward(batch.inputs, /*training=*/false);
     const EvalResult r = EvaluateSoftmaxCrossEntropy(logits, batch.labels);
     total.loss_sum += r.loss_sum;

@@ -11,22 +11,24 @@ namespace lpsgd {
 
 Batch MakeBatch(const Dataset& dataset, const std::vector<int64_t>& indices) {
   Batch batch;
-  const Shape sample_shape = dataset.SampleShape();
-  std::vector<int64_t> dims;
-  dims.push_back(static_cast<int64_t>(indices.size()));
-  for (int64_t d : sample_shape.dims()) dims.push_back(d);
-  batch.inputs = Tensor(Shape(dims));
-  batch.labels.resize(indices.size());
+  MakeBatch(dataset, indices, &batch);
+  return batch;
+}
+
+void MakeBatch(const Dataset& dataset, std::span<const int64_t> indices,
+               Batch* batch) {
+  const Shape& sample_shape = dataset.SampleShape();
+  batch->inputs.Resize(static_cast<int64_t>(indices.size()), sample_shape);
+  batch->labels.resize(indices.size());
 
   const int64_t stride = sample_shape.element_count();
   for (size_t i = 0; i < indices.size(); ++i) {
     CHECK_GE(indices[i], 0);
     CHECK_LT(indices[i], dataset.NumSamples());
     dataset.FillSample(indices[i],
-                       batch.inputs.data() + static_cast<int64_t>(i) * stride);
-    batch.labels[i] = dataset.LabelOf(indices[i]);
+                       batch->inputs.data() + static_cast<int64_t>(i) * stride);
+    batch->labels[i] = dataset.LabelOf(indices[i]);
   }
-  return batch;
 }
 
 BatchIterator::BatchIterator(const Dataset* dataset, int64_t batch_size,
@@ -55,10 +57,11 @@ bool BatchIterator::NextBatch(Batch* batch) {
   const int64_t total = static_cast<int64_t>(order_.size());
   if (cursor_ >= total) return false;
   const int64_t count = std::min(batch_size_, total - cursor_);
-  std::vector<int64_t> indices(order_.begin() + cursor_,
-                               order_.begin() + cursor_ + count);
+  MakeBatch(*dataset_,
+            std::span<const int64_t>(order_).subspan(
+                static_cast<size_t>(cursor_), static_cast<size_t>(count)),
+            batch);
   cursor_ += count;
-  *batch = MakeBatch(*dataset_, indices);
   return true;
 }
 

@@ -3,6 +3,7 @@
 #define LPSGD_DATA_DATASET_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -30,7 +31,7 @@ class Dataset {
   virtual int NumClasses() const = 0;
 
   // Shape of one sample, without the batch dimension.
-  virtual Shape SampleShape() const = 0;
+  virtual const Shape& SampleShape() const = 0;
 
   // Writes sample `index` (SampleShape().element_count() floats) to `out`.
   virtual void FillSample(int64_t index, float* out) const = 0;
@@ -40,6 +41,11 @@ class Dataset {
 
 // Materializes `indices` from `dataset` into a Batch.
 Batch MakeBatch(const Dataset& dataset, const std::vector<int64_t>& indices);
+
+// Refills `batch` with `indices` from `dataset`, reusing its storage: a
+// batch refilled at sizes it has already held allocates nothing.
+void MakeBatch(const Dataset& dataset, std::span<const int64_t> indices,
+               Batch* batch);
 
 // Deterministic shuffled minibatch iterator. Every epoch reshuffles with a
 // seed derived from (seed, epoch) so runs are exactly reproducible and all
@@ -52,8 +58,9 @@ class BatchIterator {
   // Starts (or restarts) iteration for `epoch`.
   void StartEpoch(int epoch);
 
-  // Fills the next batch; returns false when the epoch is exhausted. The
-  // final batch of an epoch may be smaller than `batch_size`.
+  // Refills `batch` (reusing its storage) with the next batch; returns
+  // false when the epoch is exhausted. The final batch of an epoch may be
+  // smaller than `batch_size`.
   bool NextBatch(Batch* batch);
 
   int64_t batch_size() const { return batch_size_; }

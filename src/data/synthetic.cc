@@ -20,7 +20,8 @@ double GaussianFromUniforms(double u1, double u2) {
 
 SyntheticImageDataset::SyntheticImageDataset(
     const SyntheticImageOptions& options)
-    : options_(options) {
+    : options_(options),
+      sample_shape_({options.channels, options.height, options.width}) {
   CHECK_GT(options_.num_classes, 1);
   CHECK_GT(options_.num_samples, 0);
   Rng rng(options_.seed);
@@ -52,10 +53,6 @@ SyntheticImageDataset::SyntheticImageDataset(
   }
 }
 
-Shape SyntheticImageDataset::SampleShape() const {
-  return Shape({options_.channels, options_.height, options_.width});
-}
-
 int SyntheticImageDataset::LabelOf(int64_t index) const {
   const uint64_t global = options_.sample_offset + static_cast<uint64_t>(index);
   return static_cast<int>(HashCounter(options_.seed ^ 0x1abe1u, global) %
@@ -79,7 +76,8 @@ void SyntheticImageDataset::FillSample(int64_t index, float* out) const {
 
 SyntheticSequenceDataset::SyntheticSequenceDataset(
     const SyntheticSequenceOptions& options)
-    : options_(options) {
+    : options_(options),
+      sample_shape_({options.time_steps, options.frame_dim}) {
   CHECK_GT(options_.num_classes, 1);
   CHECK_GT(options_.num_samples, 0);
   Rng rng(options_.seed ^ 0x5eedf00dULL);
@@ -101,10 +99,6 @@ SyntheticSequenceDataset::SyntheticSequenceDataset(
       }
     }
   }
-}
-
-Shape SyntheticSequenceDataset::SampleShape() const {
-  return Shape({options_.time_steps, options_.frame_dim});
 }
 
 int SyntheticSequenceDataset::LabelOf(int64_t index) const {

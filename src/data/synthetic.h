@@ -40,12 +40,13 @@ class SyntheticImageDataset : public Dataset {
 
   int64_t NumSamples() const override { return options_.num_samples; }
   int NumClasses() const override { return options_.num_classes; }
-  Shape SampleShape() const override;
+  const Shape& SampleShape() const override { return sample_shape_; }
   void FillSample(int64_t index, float* out) const override;
   int LabelOf(int64_t index) const override;
 
  private:
   SyntheticImageOptions options_;
+  Shape sample_shape_;  // {channels, height, width}
   // prototypes_[c] holds the class-c prototype (sample-shaped).
   std::vector<std::vector<float>> prototypes_;
 };
@@ -70,12 +71,13 @@ class SyntheticSequenceDataset : public Dataset {
 
   int64_t NumSamples() const override { return options_.num_samples; }
   int NumClasses() const override { return options_.num_classes; }
-  Shape SampleShape() const override;
+  const Shape& SampleShape() const override { return sample_shape_; }
   void FillSample(int64_t index, float* out) const override;
   int LabelOf(int64_t index) const override;
 
  private:
   SyntheticSequenceOptions options_;
+  Shape sample_shape_;  // {time_steps, frame_dim}
   // anchors_[c] holds time_steps * frame_dim floats for class c.
   std::vector<std::vector<float>> anchors_;
 };

@@ -2,6 +2,7 @@
 #include "nn/activation.h"
 
 #include <cmath>
+#include <utility>
 
 #include "base/logging.h"
 
@@ -10,8 +11,12 @@ namespace lpsgd {
 ActivationLayer::ActivationLayer(std::string name, ActivationKind kind)
     : name_(std::move(name)), kind_(kind) {}
 
-Tensor ActivationLayer::Forward(const Tensor& input, bool /*training*/) {
-  Tensor output = input;
+Tensor ActivationLayer::Forward(const Tensor& input, bool training) {
+  return Forward(Tensor(input), training);
+}
+
+Tensor ActivationLayer::Forward(Tensor&& input, bool /*training*/) {
+  Tensor output = std::move(input);
   float* data = output.data();
   switch (kind_) {
     case ActivationKind::kRelu:
@@ -33,8 +38,12 @@ Tensor ActivationLayer::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor ActivationLayer::Backward(const Tensor& output_grad) {
+  return Backward(Tensor(output_grad));
+}
+
+Tensor ActivationLayer::Backward(Tensor&& output_grad) {
   CHECK_EQ(output_grad.size(), cached_output_.size());
-  Tensor input_grad = output_grad;
+  Tensor input_grad = std::move(output_grad);
   float* grad = input_grad.data();
   const float* out = cached_output_.data();
   switch (kind_) {

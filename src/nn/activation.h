@@ -10,14 +10,17 @@ namespace lpsgd {
 
 enum class ActivationKind { kRelu, kTanh, kSigmoid };
 
-// Elementwise activation layer (shape-preserving, no parameters).
+// Elementwise activation layer (shape-preserving, no parameters). Forward
+// and Backward work in place on the tensor they are handed.
 class ActivationLayer : public Layer {
  public:
   ActivationLayer(std::string name, ActivationKind kind);
 
   std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
+  Tensor Forward(Tensor&& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
+  Tensor Backward(Tensor&& output_grad) override;
   Shape OutputShape(const Shape& input_shape) const override {
     return input_shape;
   }

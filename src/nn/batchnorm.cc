@@ -84,7 +84,7 @@ Tensor BatchNormLayer::Forward(const Tensor& input, bool training) {
         1.0 / std::sqrt(var[static_cast<size_t>(c)] + epsilon_));
   }
 
-  Tensor output(shape);
+  Tensor output = TakeSpare(&output_spare_, shape.dims());
   Tensor normalized(shape);
   const float* in = input.data();
   float* out = output.data();
@@ -127,7 +127,7 @@ Tensor BatchNormLayer::Backward(const Tensor& output_grad) {
     gamma_grad_.at(c) += static_cast<float>(sum_dy_xhat[ci]);
   }
 
-  Tensor input_grad(shape);
+  Tensor input_grad = TakeSpare(&input_spare_, shape.dims());
   float* dx = input_grad.data();
   const double inv_m = 1.0 / static_cast<double>(per_channel);
   ForEachChannelElement(shape, [&](int64_t c, int64_t idx) {

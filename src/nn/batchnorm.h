@@ -19,6 +19,8 @@ class BatchNormLayer : public Layer {
                  float epsilon = 1e-5f);
 
   std::string name() const override { return name_; }
+  using Layer::Backward;
+  using Layer::Forward;
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
   void CollectParams(std::vector<ParamRef>* params) override;

@@ -1,6 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.h"
@@ -9,16 +10,14 @@
 namespace lpsgd {
 namespace {
 
-// Per-sample work buffers that live for one Forward or Backward call. One
-// set per thread serves every layer and replica that runs on it, so they
-// cost memory per thread, not per rank, and stop allocating once they
-// have seen the largest shapes.
+// GEMM work buffers that live for one Forward or Backward call. One set
+// per thread serves every layer and replica that runs on it, so they cost
+// memory per thread, not per rank, and stop allocating once they have
+// seen the largest shapes.
 struct ConvScratch {
-  Tensor image;       // {in_c, h, w}
-  Tensor out_mat;     // {out_c, out_h * out_w}
-  Tensor grad_mat;    // {out_c, out_h * out_w}
-  Tensor patch_grad;  // {out_h * out_w, in_c * k * k}
-  Tensor image_grad;  // {in_c, h, w}
+  Tensor out_mat;     // {out_c, batch * out_h * out_w}
+  Tensor grad_mat;    // {out_c, batch * out_h * out_w}
+  Tensor patch_grad;  // {batch * out_h * out_w, in_c * k * k}
 };
 
 ConvScratch& Scratch() {
@@ -58,39 +57,29 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
   const int out_w = ConvOutputSize(width, kernel_size_, stride_, padding_);
   CHECK_GT(out_h, 0) << name_;
   CHECK_GT(out_w, 0) << name_;
-
-  cached_input_ = input;
-  if (cached_patches_.size() < static_cast<size_t>(batch)) {
-    cached_patches_.resize(static_cast<size_t>(batch));
-  }
-
-  Tensor output(Shape({batch, out_channels_, out_h, out_w}));
-  const int64_t sample_in = input.size() / batch;
-  const int64_t sample_out = output.size() / batch;
   const int64_t plane = int64_t{out_h} * out_w;
-  const int64_t patch_width =
-      int64_t{in_channels_} * kernel_size_ * kernel_size_;
+  const int64_t positions = batch * plane;
 
-  ConvScratch& scratch = Scratch();
-  Tensor& image = scratch.image;
-  Tensor& out_mat = scratch.out_mat;
-  image.Resize({in_channels_, height, width});
-  out_mat.Resize({out_channels_, plane});
+  cached_input_shape_ = input.shape();
+  cached_patches_.Resize(
+      {positions, int64_t{in_channels_} * kernel_size_ * kernel_size_});
+  Im2Col(input, kernel_size_, kernel_size_, stride_, padding_,
+         &cached_patches_);
+
+  // out[oc, (s, pos)] = sum_k W[oc, k] * patches[(s, pos), k]: every
+  // element sees the k sequence of a per-sample GEMM.
+  Tensor& out_mat = Scratch().out_mat;
+  out_mat.Resize({out_channels_, positions});
+  Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, *weight_,
+       cached_patches_, 0.0f, &out_mat);
+
+  Tensor output =
+      TakeSpare(&output_spare_, {batch, out_channels_, out_h, out_w});
   for (int64_t s = 0; s < batch; ++s) {
-    std::copy(input.data() + s * sample_in,
-              input.data() + (s + 1) * sample_in, image.data());
-    Tensor& patches = cached_patches_[static_cast<size_t>(s)];
-    patches.Resize({plane, patch_width});
-    Im2Col(image, kernel_size_, kernel_size_, stride_, padding_, &patches);
-
-    // out[oc, pos] = sum_k W[oc, k] * patches[pos, k]  (oc x plane matrix).
-    Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, *weight_, patches,
-         0.0f, &out_mat);
-    float* out_sample = output.data() + s * sample_out;
     for (int oc = 0; oc < out_channels_; ++oc) {
       const float b = bias_->at(oc);
-      const float* src = out_mat.data() + int64_t{oc} * plane;
-      float* dst = out_sample + int64_t{oc} * plane;
+      const float* src = out_mat.data() + oc * positions + s * plane;
+      float* dst = output.data() + (s * out_channels_ + oc) * plane;
       for (int64_t p = 0; p < plane; ++p) dst[p] = src[p] + b;
     }
   }
@@ -98,51 +87,46 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Conv2dLayer::Backward(const Tensor& output_grad) {
-  const Shape& in_shape = cached_input_.shape();
+  const Shape& in_shape = cached_input_shape_;
   const int64_t batch = in_shape.dim(0);
   const int height = static_cast<int>(in_shape.dim(2));
   const int width = static_cast<int>(in_shape.dim(3));
   const int out_h = ConvOutputSize(height, kernel_size_, stride_, padding_);
   const int out_w = ConvOutputSize(width, kernel_size_, stride_, padding_);
   const int64_t plane = int64_t{out_h} * out_w;
+  const int64_t positions = batch * plane;
   CHECK_EQ(output_grad.shape().dim(0), batch);
   CHECK_EQ(output_grad.shape().dim(1), out_channels_);
 
-  Tensor input_grad(in_shape);
-  const int64_t sample_in = cached_input_.size() / batch;
-  const int64_t sample_out = output_grad.size() / batch;
-
+  // dY as {out_c, (s, pos)}, the layout of the forward output matrix.
+  // The bias gradient keeps its per-sample partial sums.
   ConvScratch& scratch = Scratch();
   Tensor& grad_mat = scratch.grad_mat;
-  Tensor& patch_grad = scratch.patch_grad;
-  Tensor& image_grad = scratch.image_grad;
-  grad_mat.Resize({out_channels_, plane});
-  patch_grad.Resize(
-      {plane, int64_t{in_channels_} * kernel_size_ * kernel_size_});
-  image_grad.Resize({in_channels_, height, width});
+  grad_mat.Resize({out_channels_, positions});
   for (int64_t s = 0; s < batch; ++s) {
-    std::copy(output_grad.data() + s * sample_out,
-              output_grad.data() + (s + 1) * sample_out, grad_mat.data());
-    const Tensor& patches = cached_patches_[static_cast<size_t>(s)];
-
-    // dW += grad_mat * patches ; dPatches = grad_mat^T * W.
-    Gemm(/*transpose_a=*/false, /*transpose_b=*/false, 1.0f, grad_mat,
-         patches, 1.0f, &weight_grad_);
     for (int oc = 0; oc < out_channels_; ++oc) {
-      const float* src = grad_mat.data() + int64_t{oc} * plane;
+      const float* src = output_grad.data() + (s * out_channels_ + oc) * plane;
+      std::copy(src, src + plane, grad_mat.data() + oc * positions + s * plane);
       float sum = 0.0f;
       for (int64_t p = 0; p < plane; ++p) sum += src[p];
       bias_grad_.at(oc) += sum;
     }
-
-    Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, grad_mat,
-         *weight_, 0.0f, &patch_grad);
-    image_grad.SetZero();
-    Col2Im(patch_grad, kernel_size_, kernel_size_, stride_, padding_,
-           &image_grad);
-    std::copy(image_grad.data(), image_grad.data() + sample_in,
-              input_grad.data() + s * sample_in);
   }
+
+  // dW += dY * patches, k = (s, pos) in sample-major order: the sequence
+  // the per-sample beta = 1 GEMMs gave. dPatches = dY^T * W.
+  Gemm(/*transpose_a=*/false, /*transpose_b=*/false, 1.0f, grad_mat,
+       cached_patches_, 1.0f, &weight_grad_);
+  Tensor& patch_grad = scratch.patch_grad;
+  patch_grad.Resize(
+      {positions, int64_t{in_channels_} * kernel_size_ * kernel_size_});
+  Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, grad_mat,
+       *weight_, 0.0f, &patch_grad);
+
+  Tensor input_grad = TakeSpare(&input_spare_, in_shape.dims());
+  input_grad.SetZero();
+  Col2Im(patch_grad, kernel_size_, kernel_size_, stride_, padding_,
+         &input_grad);
   return input_grad;
 }
 

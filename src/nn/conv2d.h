@@ -12,13 +12,16 @@
 namespace lpsgd {
 
 // 2-D convolution over {batch, channels, height, width} inputs, implemented
-// as im2col + GEMM per sample. Square kernels, uniform stride/padding.
+// as one im2col of the whole batch and one GEMM per operand. Square
+// kernels, uniform stride/padding.
 class Conv2dLayer : public Layer {
  public:
   Conv2dLayer(std::string name, int in_channels, int out_channels,
               int kernel_size, int stride, int padding, Rng* rng);
 
   std::string name() const override { return name_; }
+  using Layer::Backward;
+  using Layer::Forward;
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
   void CollectParams(std::vector<ParamRef>* params) override;
@@ -35,12 +38,11 @@ class Conv2dLayer : public Layer {
   Tensor weight_grad_;  // same shape
   std::shared_ptr<Tensor> bias_;    // {out_c}
   Tensor bias_grad_;    // {out_c}
-  Tensor cached_input_;
-  // im2col patches per sample from the last Forward, reused in Backward.
-  // The vector and its tensors only grow, so a steady batch shape
-  // allocates nothing here; the first `batch` entries are current. The
-  // per-sample work buffers are per-thread scratch in conv2d.cc.
-  std::vector<Tensor> cached_patches_;
+  Shape cached_input_shape_;
+  // im2col patches of the last Forward's batch ({batch * out_h * out_w,
+  // in_c * k * k}, sample-major), reused in Backward. The GEMM work
+  // buffers are per-thread scratch in conv2d.cc.
+  Tensor cached_patches_;
 };
 
 }  // namespace lpsgd

@@ -27,7 +27,7 @@ DenseLayer::DenseLayer(std::string name, int64_t in_features,
 Tensor DenseLayer::Forward(const Tensor& input, bool /*training*/) {
   CHECK_EQ(input.cols(), in_features_) << name_;
   cached_input_ = input;
-  Tensor output(Shape({input.rows(), out_features_}));
+  Tensor output = TakeSpare(&output_spare_, {input.rows(), out_features_});
   Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, input, *weight_,
        0.0f, &output);
   AddRowBroadcast(*bias_, &output);
@@ -43,7 +43,7 @@ Tensor DenseLayer::Backward(const Tensor& output_grad) {
   bias_batch_grad_.Resize({out_features_});
   SumRowsTo(output_grad, &bias_batch_grad_);
   Axpy(1.0f, bias_batch_grad_, &bias_grad_);
-  Tensor input_grad(cached_input_.shape());
+  Tensor input_grad = TakeSpare(&input_spare_, cached_input_.shape().dims());
   Gemm(/*transpose_a=*/false, /*transpose_b=*/false, 1.0f, output_grad,
        *weight_, 0.0f, &input_grad);
   return input_grad;

@@ -19,6 +19,8 @@ class DenseLayer : public Layer {
              Rng* rng);
 
   std::string name() const override { return name_; }
+  using Layer::Backward;
+  using Layer::Forward;
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
   void CollectParams(std::vector<ParamRef>* params) override;

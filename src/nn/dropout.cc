@@ -1,6 +1,8 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/dropout.h"
 
+#include <utility>
+
 #include "base/logging.h"
 #include "base/rng.h"
 
@@ -13,14 +15,18 @@ DropoutLayer::DropoutLayer(std::string name, float rate, uint64_t seed)
 }
 
 Tensor DropoutLayer::Forward(const Tensor& input, bool training) {
+  return Forward(Tensor(input), training);
+}
+
+Tensor DropoutLayer::Forward(Tensor&& input, bool training) {
   last_was_training_ = training;
   if (!training || rate_ == 0.0f) {
     return input;
   }
   const CounterRng stream(seed_, forward_calls_++);
   const float keep_scale = 1.0f / (1.0f - rate_);
-  Tensor output = input;
-  mask_.assign(static_cast<size_t>(input.size()), true);
+  Tensor output = std::move(input);
+  mask_.assign(static_cast<size_t>(output.size()), true);
   float* data = output.data();
   for (int64_t i = 0; i < output.size(); ++i) {
     if (stream.UniformAt(static_cast<uint64_t>(i)) < rate_) {
@@ -34,11 +40,15 @@ Tensor DropoutLayer::Forward(const Tensor& input, bool training) {
 }
 
 Tensor DropoutLayer::Backward(const Tensor& output_grad) {
+  return Backward(Tensor(output_grad));
+}
+
+Tensor DropoutLayer::Backward(Tensor&& output_grad) {
   if (!last_was_training_ || rate_ == 0.0f) {
     return output_grad;
   }
   CHECK_EQ(static_cast<size_t>(output_grad.size()), mask_.size()) << name_;
-  Tensor input_grad = output_grad;
+  Tensor input_grad = std::move(output_grad);
   const float keep_scale = 1.0f / (1.0f - rate_);
   float* grad = input_grad.data();
   for (int64_t i = 0; i < input_grad.size(); ++i) {

@@ -21,7 +21,9 @@ class DropoutLayer : public Layer {
 
   std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
+  Tensor Forward(Tensor&& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
+  Tensor Backward(Tensor&& output_grad) override;
   Shape OutputShape(const Shape& input_shape) const override {
     return input_shape;
   }

@@ -2,8 +2,10 @@
 #ifndef LPSGD_NN_LAYER_H_
 #define LPSGD_NN_LAYER_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -59,6 +61,15 @@ class Layer {
   // Must be called exactly once per Forward.
   virtual Tensor Backward(const Tensor& output_grad) = 0;
 
+  // The same for a caller that is done with its tensor (Network moves
+  // activations and gradients through these). By default they run the
+  // forms above, then keep a training input as the storage of the next
+  // input gradient and an output gradient as the storage of the next
+  // output (see TakeSpare), so a steady step allocates nothing. Layers
+  // that compute in place override them.
+  virtual Tensor Forward(Tensor&& input, bool training);
+  virtual Tensor Backward(Tensor&& output_grad);
+
   // Appends references to this layer's parameters. Default: none.
   virtual void CollectParams(std::vector<ParamRef>* params) {
     (void)params;
@@ -66,7 +77,40 @@ class Layer {
 
   // Output shape for a given input shape (both without batch dimension).
   virtual Shape OutputShape(const Shape& input_shape) const = 0;
+
+ protected:
+  // Storage handed in through the owned forms, for the next input
+  // gradient and the next output.
+  Tensor input_spare_;
+  Tensor output_spare_;
 };
+
+inline Tensor Layer::Forward(Tensor&& input, bool training) {
+  Tensor output = Forward(static_cast<const Tensor&>(input), training);
+  if (training) input_spare_ = std::move(input);
+  return output;
+}
+
+inline Tensor Layer::Backward(Tensor&& output_grad) {
+  Tensor input_grad = Backward(static_cast<const Tensor&>(output_grad));
+  output_spare_ = std::move(output_grad);
+  return input_grad;
+}
+
+// Takes the storage of `spare` (leaving it empty) as a tensor of shape
+// `dims`, element values unspecified: a spare that has held a tensor at
+// least this large allocates nothing.
+inline Tensor TakeSpare(Tensor* spare, const std::vector<int64_t>& dims) {
+  Tensor tensor = std::move(*spare);
+  tensor.Resize(dims);
+  return tensor;
+}
+
+inline Tensor TakeSpare(Tensor* spare, std::initializer_list<int64_t> dims) {
+  Tensor tensor = std::move(*spare);
+  tensor.Resize(dims);
+  return tensor;
+}
 
 }  // namespace lpsgd
 

@@ -2,6 +2,7 @@
 #include "nn/loss.h"
 
 #include <cmath>
+#include <utility>
 
 #include "base/logging.h"
 #include "tensor/ops.h"
@@ -13,17 +14,17 @@ constexpr double kProbFloor = 1e-12;
 
 }  // namespace
 
-LossResult SoftmaxCrossEntropy(const Tensor& logits,
-                               const std::vector<int>& labels) {
+LossResult SoftmaxCrossEntropy(Tensor logits, const std::vector<int>& labels) {
   const int64_t batch = logits.rows();
   const int64_t classes = logits.cols();
   CHECK_EQ(static_cast<size_t>(batch), labels.size());
 
+  // The probabilities become the gradient in place: row r is read (loss,
+  // argmax) before its label entry is adjusted, and rows are independent.
   LossResult result;
-  Tensor probs(logits.shape());
-  SoftmaxRows(logits, &probs);
-
-  result.logits_grad = probs;
+  SoftmaxRows(logits, &logits);
+  result.logits_grad = std::move(logits);
+  Tensor& probs = result.logits_grad;
   const float inv_batch = 1.0f / static_cast<float>(batch);
   for (int64_t r = 0; r < batch; ++r) {
     const int label = labels[static_cast<size_t>(r)];
@@ -33,7 +34,7 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
         std::max(static_cast<double>(probs.at(r, label)), kProbFloor);
     result.loss_sum += -std::log(p);
     if (ArgMaxRow(probs, r) == label) ++result.correct;
-    result.logits_grad.at(r, label) -= 1.0f;
+    probs.at(r, label) -= 1.0f;
   }
   Scale(inv_batch, &result.logits_grad);
   return result;

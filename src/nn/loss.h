@@ -16,9 +16,10 @@ struct LossResult {
 };
 
 // Computes softmax cross-entropy loss, top-1 accuracy counts, and the
-// gradient of the *mean* loss w.r.t. the logits ({batch, classes}).
-LossResult SoftmaxCrossEntropy(const Tensor& logits,
-                               const std::vector<int>& labels);
+// gradient of the *mean* loss w.r.t. the logits ({batch, classes}). The
+// gradient is computed in the logits' buffer, so a caller done with the
+// logits moves them in.
+LossResult SoftmaxCrossEntropy(Tensor logits, const std::vector<int>& labels);
 
 // Evaluation-only variant (no gradient allocation). Tracks both top-1 and
 // top-5 correctness (the paper reports top-5 for ImageNet-scale tasks).

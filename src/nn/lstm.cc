@@ -128,11 +128,15 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
     c = step.c;
   }
 
-  if (!return_sequences_) return h;
+  if (!return_sequences_) {
+    Tensor last = TakeSpare(&output_spare_, {batch, hidden_dim_});
+    std::copy(h.data(), h.data() + h.size(), last.data());
+    return last;
+  }
 
   // Assemble the full hidden-state sequence {batch, time, hidden}.
   // h_t for step t is o_t * tanh(c_t), both cached per step.
-  Tensor sequence(Shape({batch, time, hidden_dim_}));
+  Tensor sequence = TakeSpare(&output_spare_, {batch, time, hidden_dim_});
   for (int64_t t = 0; t < time; ++t) {
     const StepCache& step = steps_[static_cast<size_t>(t)];
     for (int64_t b = 0; b < batch; ++b) {
@@ -160,7 +164,7 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
   }
   const int64_t h4 = 4 * int64_t{hidden_dim_};
 
-  Tensor input_grad(Shape({batch, time, input_dim_}));
+  Tensor input_grad = TakeSpare(&input_spare_, {batch, time, input_dim_});
   LstmScratch& scratch = Scratch();
   Tensor& dh = scratch.dh;
   Tensor& dc = scratch.dc;

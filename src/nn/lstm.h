@@ -23,6 +23,8 @@ class LstmLayer : public Layer {
             bool return_sequences = false);
 
   std::string name() const override { return name_; }
+  using Layer::Backward;
+  using Layer::Forward;
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
   void CollectParams(std::vector<ParamRef>* params) override;

@@ -1,6 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/logging.h"
@@ -10,22 +11,25 @@ namespace lpsgd {
 Network& Network::Add(std::unique_ptr<Layer> layer) {
   CHECK(layer != nullptr);
   layers_.push_back(std::move(layer));
+  grads_.clear();
   return *this;
 }
 
 Tensor Network::Forward(const Tensor& input, bool training) {
-  Tensor activation = input;
+  Tensor activation = TakeSpare(&input_spare_, input.shape().dims());
+  std::copy(input.data(), input.data() + input.size(), activation.data());
   for (auto& layer : layers_) {
-    activation = layer->Forward(activation, training);
+    activation = layer->Forward(std::move(activation), training);
   }
   return activation;
 }
 
-void Network::Backward(const Tensor& logits_grad) {
-  Tensor grad = logits_grad;
+void Network::Backward(Tensor logits_grad) {
+  Tensor grad = std::move(logits_grad);
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
+    grad = (*it)->Backward(std::move(grad));
   }
+  input_spare_ = std::move(grad);
 }
 
 std::vector<ParamRef> Network::Params() {
@@ -37,9 +41,10 @@ std::vector<ParamRef> Network::Params() {
 }
 
 void Network::ZeroGrads() {
-  for (ParamRef& param : Params()) {
-    param.grad->SetZero();
+  if (grads_.empty()) {
+    for (ParamRef& param : Params()) grads_.push_back(param.grad);
   }
+  for (Tensor* grad : grads_) grad->SetZero();
 }
 
 int64_t Network::ParameterCount() {
@@ -73,13 +78,17 @@ ResidualBlock::ResidualBlock(std::string name,
 }
 
 Tensor ResidualBlock::Forward(const Tensor& input, bool training) {
+  return Forward(Tensor(input), training);
+}
+
+Tensor ResidualBlock::Forward(Tensor&& input, bool training) {
   Tensor main_path = input;
   for (auto& layer : inner_) {
-    main_path = layer->Forward(main_path, training);
+    main_path = layer->Forward(std::move(main_path), training);
   }
-  Tensor shortcut = input;
+  Tensor shortcut = std::move(input);
   for (auto& layer : projection_) {
-    shortcut = layer->Forward(shortcut, training);
+    shortcut = layer->Forward(std::move(shortcut), training);
   }
   CHECK(main_path.shape() == shortcut.shape())
       << name_ << ": inner " << main_path.shape().ToString()
@@ -91,13 +100,17 @@ Tensor ResidualBlock::Forward(const Tensor& input, bool training) {
 }
 
 Tensor ResidualBlock::Backward(const Tensor& output_grad) {
+  return Backward(Tensor(output_grad));
+}
+
+Tensor ResidualBlock::Backward(Tensor&& output_grad) {
   Tensor main_grad = output_grad;
   for (auto it = inner_.rbegin(); it != inner_.rend(); ++it) {
-    main_grad = (*it)->Backward(main_grad);
+    main_grad = (*it)->Backward(std::move(main_grad));
   }
-  Tensor shortcut_grad = output_grad;
+  Tensor shortcut_grad = std::move(output_grad);
   for (auto it = projection_.rbegin(); it != projection_.rend(); ++it) {
-    shortcut_grad = (*it)->Backward(shortcut_grad);
+    shortcut_grad = (*it)->Backward(std::move(shortcut_grad));
   }
   CHECK(main_grad.shape() == shortcut_grad.shape()) << name_;
   float* out = main_grad.data();

@@ -25,12 +25,14 @@ class Network {
   // Appends a layer; returns *this for chaining.
   Network& Add(std::unique_ptr<Layer> layer);
 
-  // Runs all layers; input leading dimension is the batch.
+  // Runs all layers; input leading dimension is the batch. The
+  // activations move through the layers; after a training step the input
+  // is copied into the buffer the last Backward freed.
   Tensor Forward(const Tensor& input, bool training);
 
   // Runs all layers backward from the loss gradient w.r.t. the logits,
   // accumulating parameter gradients.
-  void Backward(const Tensor& logits_grad);
+  void Backward(Tensor logits_grad);
 
   // References to every trainable parameter, in layer order. The pointers
   // stay valid for the lifetime of the network (layers are never removed).
@@ -52,6 +54,11 @@ class Network {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Every parameter gradient, collected on the first ZeroGrads (gradients
+  // never move; Add clears it).
+  std::vector<Tensor*> grads_;
+  // The input gradient the last Backward returned, reused by Forward.
+  Tensor input_spare_;
 };
 
 // A residual block: output = inner(x) + shortcut(x), where shortcut is
@@ -68,7 +75,9 @@ class ResidualBlock : public Layer {
 
   std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
+  Tensor Forward(Tensor&& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
+  Tensor Backward(Tensor&& output_grad) override;
   void CollectParams(std::vector<ParamRef>* params) override;
   Shape OutputShape(const Shape& input_shape) const override;
 

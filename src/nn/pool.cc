@@ -2,6 +2,7 @@
 #include "nn/pool.h"
 
 #include <limits>
+#include <utility>
 
 #include "base/logging.h"
 #include "tensor/ops.h"
@@ -26,7 +27,7 @@ Tensor MaxPool2dLayer::Forward(const Tensor& input, bool /*training*/) {
   CHECK_GT(out_h, 0) << name_;
   CHECK_GT(out_w, 0) << name_;
 
-  Tensor output(Shape({batch, channels, out_h, out_w}));
+  Tensor output = TakeSpare(&output_spare_, {batch, channels, out_h, out_w});
   argmax_.assign(static_cast<size_t>(output.size()), 0);
 
   const float* in = input.data();
@@ -61,7 +62,8 @@ Tensor MaxPool2dLayer::Forward(const Tensor& input, bool /*training*/) {
 
 Tensor MaxPool2dLayer::Backward(const Tensor& output_grad) {
   CHECK_EQ(static_cast<size_t>(output_grad.size()), argmax_.size()) << name_;
-  Tensor input_grad(cached_input_shape_);
+  Tensor input_grad = TakeSpare(&input_spare_, cached_input_shape_.dims());
+  input_grad.SetZero();
   float* in_grad = input_grad.data();
   const float* out_grad = output_grad.data();
   for (int64_t i = 0; i < output_grad.size(); ++i) {
@@ -85,7 +87,7 @@ Tensor GlobalAvgPoolLayer::Forward(const Tensor& input, bool /*training*/) {
   const int64_t batch = input.shape().dim(0);
   const int64_t channels = input.shape().dim(1);
   const int64_t plane = input.shape().dim(2) * input.shape().dim(3);
-  Tensor output(Shape({batch, channels}));
+  Tensor output = TakeSpare(&output_spare_, {batch, channels});
   const float* in = input.data();
   float* out = output.data();
   const float inv = 1.0f / static_cast<float>(plane);
@@ -100,7 +102,7 @@ Tensor GlobalAvgPoolLayer::Forward(const Tensor& input, bool /*training*/) {
 Tensor GlobalAvgPoolLayer::Backward(const Tensor& output_grad) {
   const int64_t plane =
       cached_input_shape_.dim(2) * cached_input_shape_.dim(3);
-  Tensor input_grad(cached_input_shape_);
+  Tensor input_grad = TakeSpare(&input_spare_, cached_input_shape_.dims());
   const float inv = 1.0f / static_cast<float>(plane);
   const float* out_grad = output_grad.data();
   float* in_grad = input_grad.data();
@@ -116,18 +118,26 @@ Shape GlobalAvgPoolLayer::OutputShape(const Shape& input_shape) const {
   return Shape({input_shape.dim(0)});
 }
 
-Tensor FlattenLayer::Forward(const Tensor& input, bool /*training*/) {
+Tensor FlattenLayer::Forward(const Tensor& input, bool training) {
+  return Forward(Tensor(input), training);
+}
+
+Tensor FlattenLayer::Forward(Tensor&& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
-  Tensor output = input;
-  output.Reshape(Shape({input.shape().dim(0), input.size() /
-                                                  input.shape().dim(0)}));
-  return output;
+  const int64_t batch = input.shape().dim(0);
+  input.Resize({batch, input.size() / batch});
+  return std::move(input);
 }
 
 Tensor FlattenLayer::Backward(const Tensor& output_grad) {
-  Tensor input_grad = output_grad;
-  input_grad.Reshape(cached_input_shape_);
-  return input_grad;
+  return Backward(Tensor(output_grad));
+}
+
+Tensor FlattenLayer::Backward(Tensor&& output_grad) {
+  CHECK_EQ(output_grad.size(), cached_input_shape_.element_count())
+      << name_;
+  output_grad.Resize(cached_input_shape_.dims());
+  return std::move(output_grad);
 }
 
 Shape FlattenLayer::OutputShape(const Shape& input_shape) const {

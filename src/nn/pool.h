@@ -16,6 +16,8 @@ class MaxPool2dLayer : public Layer {
   MaxPool2dLayer(std::string name, int window, int stride);
 
   std::string name() const override { return name_; }
+  using Layer::Backward;
+  using Layer::Forward;
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
   Shape OutputShape(const Shape& input_shape) const override;
@@ -35,6 +37,8 @@ class GlobalAvgPoolLayer : public Layer {
   explicit GlobalAvgPoolLayer(std::string name) : name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
+  using Layer::Backward;
+  using Layer::Forward;
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
   Shape OutputShape(const Shape& input_shape) const override;
@@ -44,14 +48,16 @@ class GlobalAvgPoolLayer : public Layer {
   Shape cached_input_shape_;
 };
 
-// Reshapes {batch, ...} to {batch, product-of-rest}.
+// Reshapes {batch, ...} to {batch, product-of-rest}, in place.
 class FlattenLayer : public Layer {
  public:
   explicit FlattenLayer(std::string name) : name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
+  Tensor Forward(Tensor&& input, bool training) override;
   Tensor Backward(const Tensor& output_grad) override;
+  Tensor Backward(Tensor&& output_grad) override;
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:

@@ -167,33 +167,56 @@ void SoftmaxRows(const Tensor& logits, Tensor* probs) {
   }
 }
 
+namespace {
+
+// The {channels, height, width} of one sample of a {C, H, W} tensor or of
+// a {N, C, H, W} batch, and the batch size (1 for a single sample).
+struct ImageDims {
+  int64_t samples;
+  int channels;
+  int height;
+  int width;
+};
+
+ImageDims ImageDimsOf(const Shape& shape) {
+  CHECK(shape.ndim() == 3 || shape.ndim() == 4) << shape.ToString();
+  const int lead = shape.ndim() - 3;
+  return {lead == 0 ? 1 : shape.dim(0), static_cast<int>(shape.dim(lead)),
+          static_cast<int>(shape.dim(lead + 1)),
+          static_cast<int>(shape.dim(lead + 2))};
+}
+
+}  // namespace
+
 void Im2Col(const Tensor& image, int kernel_h, int kernel_w, int stride,
             int padding, Tensor* patches) {
-  CHECK_EQ(image.shape().ndim(), 3);
-  const int channels = static_cast<int>(image.shape().dim(0));
-  const int height = static_cast<int>(image.shape().dim(1));
-  const int width = static_cast<int>(image.shape().dim(2));
-  const int out_h = ConvOutputSize(height, kernel_h, stride, padding);
-  const int out_w = ConvOutputSize(width, kernel_w, stride, padding);
-  CHECK_EQ(patches->rows(), int64_t{out_h} * out_w);
-  CHECK_EQ(patches->cols(), int64_t{channels} * kernel_h * kernel_w);
+  const ImageDims d = ImageDimsOf(image.shape());
+  const int out_h = ConvOutputSize(d.height, kernel_h, stride, padding);
+  const int out_w = ConvOutputSize(d.width, kernel_w, stride, padding);
+  const int64_t plane = int64_t{out_h} * out_w;
+  CHECK_EQ(patches->rows(), d.samples * plane);
+  CHECK_EQ(patches->cols(), int64_t{d.channels} * kernel_h * kernel_w);
 
-  const float* img = image.data();
-  float* out = patches->data();
   const int64_t patch_width = patches->cols();
-  for (int oy = 0; oy < out_h; ++oy) {
-    for (int ox = 0; ox < out_w; ++ox) {
-      float* row = out + (int64_t{oy} * out_w + ox) * patch_width;
-      int64_t idx = 0;
-      for (int ch = 0; ch < channels; ++ch) {
-        const float* plane = img + int64_t{ch} * height * width;
-        for (int ky = 0; ky < kernel_h; ++ky) {
-          const int iy = oy * stride + ky - padding;
-          for (int kx = 0; kx < kernel_w; ++kx, ++idx) {
-            const int ix = ox * stride + kx - padding;
-            row[idx] = (iy >= 0 && iy < height && ix >= 0 && ix < width)
-                           ? plane[int64_t{iy} * width + ix]
-                           : 0.0f;
+  const int64_t image_size = int64_t{d.channels} * d.height * d.width;
+  for (int64_t s = 0; s < d.samples; ++s) {
+    const float* img = image.data() + s * image_size;
+    float* out = patches->data() + s * plane * patch_width;
+    for (int oy = 0; oy < out_h; ++oy) {
+      for (int ox = 0; ox < out_w; ++ox) {
+        float* row = out + (int64_t{oy} * out_w + ox) * patch_width;
+        int64_t idx = 0;
+        for (int ch = 0; ch < d.channels; ++ch) {
+          const float* channel = img + int64_t{ch} * d.height * d.width;
+          for (int ky = 0; ky < kernel_h; ++ky) {
+            const int iy = oy * stride + ky - padding;
+            for (int kx = 0; kx < kernel_w; ++kx, ++idx) {
+              const int ix = ox * stride + kx - padding;
+              row[idx] =
+                  (iy >= 0 && iy < d.height && ix >= 0 && ix < d.width)
+                      ? channel[int64_t{iy} * d.width + ix]
+                      : 0.0f;
+            }
           }
         }
       }
@@ -203,30 +226,31 @@ void Im2Col(const Tensor& image, int kernel_h, int kernel_w, int stride,
 
 void Col2Im(const Tensor& patches, int kernel_h, int kernel_w, int stride,
             int padding, Tensor* image_grad) {
-  CHECK_EQ(image_grad->shape().ndim(), 3);
-  const int channels = static_cast<int>(image_grad->shape().dim(0));
-  const int height = static_cast<int>(image_grad->shape().dim(1));
-  const int width = static_cast<int>(image_grad->shape().dim(2));
-  const int out_h = ConvOutputSize(height, kernel_h, stride, padding);
-  const int out_w = ConvOutputSize(width, kernel_w, stride, padding);
-  CHECK_EQ(patches.rows(), int64_t{out_h} * out_w);
-  CHECK_EQ(patches.cols(), int64_t{channels} * kernel_h * kernel_w);
+  const ImageDims d = ImageDimsOf(image_grad->shape());
+  const int out_h = ConvOutputSize(d.height, kernel_h, stride, padding);
+  const int out_w = ConvOutputSize(d.width, kernel_w, stride, padding);
+  const int64_t plane = int64_t{out_h} * out_w;
+  CHECK_EQ(patches.rows(), d.samples * plane);
+  CHECK_EQ(patches.cols(), int64_t{d.channels} * kernel_h * kernel_w);
 
-  const float* in = patches.data();
-  float* img = image_grad->data();
   const int64_t patch_width = patches.cols();
-  for (int oy = 0; oy < out_h; ++oy) {
-    for (int ox = 0; ox < out_w; ++ox) {
-      const float* row = in + (int64_t{oy} * out_w + ox) * patch_width;
-      int64_t idx = 0;
-      for (int ch = 0; ch < channels; ++ch) {
-        float* plane = img + int64_t{ch} * height * width;
-        for (int ky = 0; ky < kernel_h; ++ky) {
-          const int iy = oy * stride + ky - padding;
-          for (int kx = 0; kx < kernel_w; ++kx, ++idx) {
-            const int ix = ox * stride + kx - padding;
-            if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
-              plane[int64_t{iy} * width + ix] += row[idx];
+  const int64_t image_size = int64_t{d.channels} * d.height * d.width;
+  for (int64_t s = 0; s < d.samples; ++s) {
+    const float* in = patches.data() + s * plane * patch_width;
+    float* img = image_grad->data() + s * image_size;
+    for (int oy = 0; oy < out_h; ++oy) {
+      for (int ox = 0; ox < out_w; ++ox) {
+        const float* row = in + (int64_t{oy} * out_w + ox) * patch_width;
+        int64_t idx = 0;
+        for (int ch = 0; ch < d.channels; ++ch) {
+          float* channel = img + int64_t{ch} * d.height * d.width;
+          for (int ky = 0; ky < kernel_h; ++ky) {
+            const int iy = oy * stride + ky - padding;
+            for (int kx = 0; kx < kernel_w; ++kx, ++idx) {
+              const int ix = ox * stride + kx - padding;
+              if (iy >= 0 && iy < d.height && ix >= 0 && ix < d.width) {
+                channel[int64_t{iy} * d.width + ix] += row[idx];
+              }
             }
           }
         }

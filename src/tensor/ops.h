@@ -54,16 +54,16 @@ void SumRowsTo(const Tensor& grad, Tensor* bias_grad);
 void SoftmaxRows(const Tensor& logits, Tensor* probs);
 
 // im2col for 2-D convolution with square stride/padding semantics.
-// Input `image` has shape {channels, height, width} (single sample).
-// Output `patches` must have shape
-//   {out_h * out_w, channels * kernel_h * kernel_w}.
-// Padding uses zeros.
+// Input `image` has shape {channels, height, width} (one sample) or
+// {batch, channels, height, width}. Output `patches` must have shape
+//   {batch * out_h * out_w, channels * kernel_h * kernel_w},
+// one row per output position, sample-major. Padding uses zeros.
 void Im2Col(const Tensor& image, int kernel_h, int kernel_w, int stride,
             int padding, Tensor* patches);
 
 // Transpose of Im2Col: scatters patch gradients back onto the image
-// gradient (accumulating). `image_grad` must be pre-shaped {C, H, W};
-// contents are accumulated into, not overwritten.
+// gradient (accumulating). `image_grad` must be pre-shaped {C, H, W} or
+// {N, C, H, W}; contents are accumulated into, not overwritten.
 void Col2Im(const Tensor& patches, int kernel_h, int kernel_w, int stride,
             int padding, Tensor* image_grad);
 

@@ -1,6 +1,8 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "tensor/shape.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 #include "base/strings.h"
 
@@ -22,6 +24,13 @@ void Shape::Assign(std::initializer_list<int64_t> dims) {
 void Shape::Assign(const std::vector<int64_t>& dims) {
   for (int64_t d : dims) CHECK_GE(d, 0);
   dims_.assign(dims.begin(), dims.end());
+}
+
+void Shape::Assign(int64_t leading, const Shape& rest) {
+  CHECK_GE(leading, 0);
+  dims_.resize(rest.dims_.size() + 1);
+  dims_[0] = leading;
+  std::copy(rest.dims_.begin(), rest.dims_.end(), dims_.begin() + 1);
 }
 
 int64_t Shape::dim(int i) const {

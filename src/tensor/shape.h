@@ -22,6 +22,8 @@ class Shape {
   // does not grow.
   void Assign(std::initializer_list<int64_t> dims);
   void Assign(const std::vector<int64_t>& dims);
+  // {leading, rest...}: a batch of `leading` samples shaped `rest`.
+  void Assign(int64_t leading, const Shape& rest);
 
   int ndim() const { return static_cast<int>(dims_.size()); }
   int64_t dim(int i) const;

@@ -49,6 +49,11 @@ void Tensor::Resize(const std::vector<int64_t>& dims) {
   data_.resize(static_cast<size_t>(shape_.element_count()));
 }
 
+void Tensor::Resize(int64_t leading, const Shape& rest) {
+  shape_.Assign(leading, rest);
+  data_.resize(static_cast<size_t>(shape_.element_count()));
+}
+
 double Tensor::SumSquares() const {
   double sum = 0.0;
   for (float x : data_) sum += static_cast<double>(x) * x;

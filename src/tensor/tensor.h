@@ -59,6 +59,8 @@ class Tensor {
   // already held allocates nothing. Element values are unspecified.
   void Resize(std::initializer_list<int64_t> dims);
   void Resize(const std::vector<int64_t>& dims);
+  // Shape {leading, rest...}, e.g. a batch of `leading` samples.
+  void Resize(int64_t leading, const Shape& rest);
 
   // Sum of squares and norms over all elements.
   double SumSquares() const;

@@ -92,6 +92,19 @@ TEST(LockOrderPassTest, FindsThreeLockCycleAndSelfDeadlock) {
   EXPECT_NE(self->detail.find("Reenter"), std::string::npos);
 }
 
+TEST(LockOrderPassTest, FileLocalHelpersInOtherFilesAreNotCallees) {
+  // bench/ defines `static` and anonymous-namespace `Set` helpers that
+  // reach FlightRecorder::mu_; the registry's `doc->Set(...)` under
+  // MetricsRegistry::mu_ cannot call them, so no cycle may be reported.
+  const Model model = AnalyzeFixture("file_local");
+  const std::vector<Finding> findings = RunLockOrderPass(model);
+  EXPECT_EQ(CountRule(findings, "lock-order-cycle"), 0) << [&] {
+    std::string all;
+    for (const Finding& f : findings) all += FormatFinding(f) + "\n";
+    return all;
+  }();
+}
+
 // --- Pass 3: status drops -------------------------------------------------
 
 TEST(StatusDropPassTest, FlagsOverwriteAndScopeExitButNotInspectedLoop) {
@@ -153,6 +166,31 @@ TEST(ModelTest, ResolvePrefersSameTranslationUnit) {
   EXPECT_EQ(model.functions[static_cast<size_t>(same_tu[0])].tu_index, 0);
   // From a TU with no candidate, every definition is considered.
   EXPECT_EQ(model.Resolve("Helper", 7).size(), 2U);
+}
+
+TEST(ModelTest, ResolveSkipsFileLocalDefinitionsOfOtherFiles) {
+  Model model;
+  AddTranslationUnit("src/a.cc", "void CallA() { Helper(); }\n", &model);
+  AddTranslationUnit("src/b.cc", "static void Helper() {}\n", &model);
+  AddTranslationUnit("src/c.cc",
+                     "namespace {\nvoid Helper() {}\n}  // namespace\n",
+                     &model);
+  AddTranslationUnit("src/d.cc", "void Helper() {}\n", &model);
+  AddTranslationUnit(
+      "src/e.cc", "struct Holder {\n  static void Helper() {}\n};\n", &model);
+  FinalizeModel(&model);
+  ASSERT_EQ(model.by_name.at("Helper").size(), 4U);
+  // From a.cc: d.cc's external Helper and the static member Holder::Helper.
+  std::vector<std::string> files;
+  for (int idx : model.Resolve("Helper", 0)) {
+    const FunctionDef& fn = model.functions[static_cast<size_t>(idx)];
+    files.push_back(model.tus[static_cast<size_t>(fn.tu_index)].relative);
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"src/d.cc", "src/e.cc"}));
+  // Inside b.cc and c.cc their own file-local Helper is the callee.
+  ASSERT_EQ(model.Resolve("Helper", 1).size(), 1U);
+  ASSERT_EQ(model.Resolve("Helper", 2).size(), 1U);
 }
 
 // --- Baseline ratchet -----------------------------------------------------

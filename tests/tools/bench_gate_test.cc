@@ -55,6 +55,48 @@ TEST(BenchGateTest, ScoresSkipAggregateRows) {
   EXPECT_EQ(scores->count("BM_Encode/1024_mean"), 0u);
 }
 
+TEST(BenchGateTest, RepeatedRowsScoreTheirMedian) {
+  // --benchmark_repetitions emits one iteration row per repetition under
+  // the same name. The last row (here a preempted 10.0) must not decide.
+  const obs::JsonValue doc = ParseOrDie(
+      R"({"benchmarks": [
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 52.0},
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 49.0},
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 50.0},
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 51.0},
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 10.0},
+        {"name": "BM_Odd/64_median", "run_type": "aggregate",
+         "items_per_second": 50.0},
+        {"name": "BM_Even/64", "run_type": "iteration", "items_per_second": 30.0},
+        {"name": "BM_Even/64", "run_type": "iteration", "items_per_second": 10.0},
+        {"name": "BM_Even/64", "run_type": "iteration", "items_per_second": 20.0},
+        {"name": "BM_Even/64", "run_type": "iteration", "items_per_second": 40.0}
+      ]})");
+  auto scores = BenchmarkScores(doc);
+  ASSERT_TRUE(scores.ok()) << scores.status();
+  EXPECT_EQ(scores->size(), 2u);
+  EXPECT_DOUBLE_EQ(scores->at("BM_Odd/64"), 50.0);
+  EXPECT_DOUBLE_EQ(scores->at("BM_Even/64"), 25.0);
+
+  // Against a baseline of 50, the median passes a 10% gate where the last
+  // row alone (10.0, -80%) would fail it.
+  const obs::JsonValue baseline = ParseOrDie(
+      R"({"benchmarks": [
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 50.0}
+      ]})");
+  BenchGateOptions options;
+  options.tolerance = 0.10;
+  auto odd_only = ParseOrDie(
+      R"({"benchmarks": [
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 52.0},
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 49.0},
+        {"name": "BM_Odd/64", "run_type": "iteration", "items_per_second": 10.0}
+      ]})");
+  auto result = CompareBenchmarks(baseline, odd_only, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->ok());
+}
+
 TEST(BenchGateTest, WithinTolerancePasses) {
   BenchGateOptions options;
   options.tolerance = 0.25;

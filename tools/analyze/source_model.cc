@@ -178,6 +178,36 @@ std::string InnermostClassAt(const std::vector<ClassRange>& classes,
   return best == nullptr ? std::string() : best->name;
 }
 
+// Body ranges [first byte inside, closing '}') of every `namespace {`.
+std::vector<std::pair<size_t, size_t>> FindAnonymousNamespaces(
+    std::string_view s) {
+  static constexpr std::string_view kKeyword = "namespace";
+  std::vector<std::pair<size_t, size_t>> out;
+  for (size_t pos = 0; (pos = s.find(kKeyword, pos)) != npos;
+       pos += kKeyword.size()) {
+    if (!IsWholeWord(s, pos, kKeyword.size())) continue;
+    const size_t open = SkipSpace(s, pos + kKeyword.size());
+    if (open < s.size() && s[open] == '{') {
+      out.emplace_back(open + 1, MatchBrace(s, open));
+    }
+  }
+  return out;
+}
+
+// True when the declaration before `name_begin` (back to the previous
+// statement or brace) carries the `static` specifier.
+bool DeclaredStatic(std::string_view s, size_t name_begin) {
+  const size_t stop = s.find_last_of(";{}", name_begin);
+  const size_t begin = stop == npos ? 0 : stop + 1;
+  const std::string_view decl = s.substr(begin, name_begin - begin);
+  static constexpr std::string_view kStatic = "static";
+  for (size_t pos = 0; (pos = decl.find(kStatic, pos)) != npos;
+       pos += kStatic.size()) {
+    if (IsWholeWord(decl, pos, kStatic.size())) return true;
+  }
+  return false;
+}
+
 // Parses a constructor initializer list starting just after ':' and
 // returns the offset of the body '{', or npos when the text does not parse
 // as an initializer list.
@@ -424,12 +454,16 @@ std::vector<int> Model::Resolve(const std::string& name,
   auto it = by_name.find(name);
   if (it == by_name.end()) return {};
   std::vector<int> same_tu;
+  std::vector<int> external;
   for (int idx : it->second) {
-    if (functions[static_cast<size_t>(idx)].tu_index == tu_index) {
+    const FunctionDef& fn = functions[static_cast<size_t>(idx)];
+    if (fn.tu_index == tu_index) {
       same_tu.push_back(idx);
+    } else if (!fn.file_local) {
+      external.push_back(idx);
     }
   }
-  return same_tu.empty() ? it->second : same_tu;
+  return same_tu.empty() ? external : same_tu;
 }
 
 void AddTranslationUnit(const std::string& relative,
@@ -440,6 +474,8 @@ void AddTranslationUnit(const std::string& relative,
   TranslationUnit& tu = model->tus.back();
   const std::string_view s = tu.stripped;
   const std::vector<ClassRange> classes = FindClassRanges(s);
+  const std::vector<std::pair<size_t, size_t>> anonymous =
+      FindAnonymousNamespaces(s);
 
   // LPSGD_HOT_CALLEE_OK(fn) exemptions, anywhere in the TU.
   {
@@ -573,6 +609,12 @@ void AddTranslationUnit(const std::string& relative,
     fn.qualified = enclosing_class.empty()
                        ? name
                        : enclosing_class + "::" + name;
+    // Internal linkage: a non-member `static`, or anything defined in an
+    // anonymous namespace (its classes' methods included).
+    fn.file_local = enclosing_class.empty() && DeclaredStatic(s, name_begin);
+    for (const auto& [begin, end] : anonymous) {
+      if (name_begin >= begin && name_begin < end) fn.file_local = true;
+    }
     for (const srctext::HotRegion& region : tu.hot_regions) {
       if (region.begin == fn.body_begin) {
         fn.hot_marked = true;

@@ -19,8 +19,9 @@
 //  * LPSGD_HOT_CALLEE_OK(fn) transitive-purity exemptions.
 //
 // Known limits (documented in DESIGN.md "Static analysis & enforced
-// invariants"): call resolution is by name, preferring same-TU candidates,
-// so overloads collapse onto one node and virtual calls fan out to every
+// invariants"): call resolution is by name, preferring same-TU candidates
+// and skipping other TUs' internal-linkage definitions, so overloads
+// collapse onto one node and virtual calls fan out to every
 // same-named method — deliberately conservative for the purity pass. The
 // passes that consume this model live in tools/analyze/passes.h.
 #ifndef LPSGD_TOOLS_ANALYZE_SOURCE_MODEL_H_
@@ -60,6 +61,9 @@ struct FunctionDef {
   size_t body_begin = 0;   // [begin, end) into the TU's stripped text
   size_t body_end = 0;
   bool hot_marked = false;  // definition carries LPSGD_HOT_PATH
+  // Internal linkage (non-member `static`, or inside `namespace {`): no
+  // other file can call it.
+  bool file_local = false;
   // LPSGD_REQUIRES(mu) arguments on the definition: locks the caller holds
   // for the whole body (each is an order-edge source for every acquisition
   // inside).
@@ -98,7 +102,8 @@ struct Model {
 
   // All definitions whose unqualified name is `name`, preferring ones in
   // `tu_index`'s file when any exist there (file-static helpers shadow
-  // same-named functions elsewhere).
+  // same-named functions elsewhere). Other files' file-local definitions
+  // are never candidates.
   std::vector<int> Resolve(const std::string& name, int tu_index) const;
 };
 

@@ -1,10 +1,12 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "obs/bench_gate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "base/status.h"
 #include "base/strings.h"
@@ -66,19 +68,29 @@ StatusOr<std::map<std::string, double>> BenchmarkScores(
     return InvalidArgumentError(
         "not a google-benchmark JSON document (no \"benchmarks\" array)");
   }
-  std::map<std::string, double> scores;
+  std::map<std::string, std::vector<double>> runs;
   for (const obs::JsonValue& bench : doc.At("benchmarks").AsArray()) {
     if (!bench.Has("name") || !bench.Has("items_per_second")) continue;
     // Skip aggregate rows (mean/median/stddev repeats of the same name).
     if (bench.Has("run_type") && bench.At("run_type").AsString() != "iteration") {
       continue;
     }
-    scores[bench.At("name").AsString()] =
-        bench.At("items_per_second").AsDouble();
+    runs[bench.At("name").AsString()].push_back(
+        bench.At("items_per_second").AsDouble());
   }
-  if (scores.empty()) {
+  if (runs.empty()) {
     return FailedPreconditionError(
         "benchmark document has no items_per_second entries");
+  }
+  // A name repeated by --benchmark_repetitions scores the median of its
+  // runs, so one preempted repetition cannot flip the gate.
+  std::map<std::string, double> scores;
+  for (auto& [name, values] : runs) {
+    std::sort(values.begin(), values.end());
+    const size_t mid = values.size() / 2;
+    scores[name] = values.size() % 2 == 1
+                       ? values[mid]
+                       : 0.5 * (values[mid - 1] + values[mid]);
   }
   return scores;
 }

@@ -73,7 +73,9 @@ struct BenchGateResult {
 };
 
 // Extracts name -> items_per_second from a google-benchmark JSON document.
-// Entries without items_per_second (e.g. aggregate rows) are skipped.
+// Entries without items_per_second and aggregate rows are skipped; a name
+// with several iteration rows (--benchmark_repetitions) scores their
+// median.
 [[nodiscard]] StatusOr<std::map<std::string, double>> BenchmarkScores(
     const obs::JsonValue& doc);
 
