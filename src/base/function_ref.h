@@ -16,7 +16,8 @@ class FunctionRef;
 // thunk, never a heap allocation. It must not outlive the callable, so it
 // suits parameters of calls that finish using it before they return (a
 // blocking ParallelFor), where a std::function would copy a large-capture
-// lambda to the heap on every call.
+// lambda to the heap on every call. Implicit, so a lambda converts at the
+// call site.
 template <typename R, typename... Args>
 class FunctionRef<R(Args...)> {
  public:
@@ -24,7 +25,7 @@ class FunctionRef<R(Args...)> {
             typename = std::enable_if_t<
                 !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
                 std::is_invocable_r_v<R, F&, Args...>>>
-  FunctionRef(F&& callable) noexcept  // NOLINT(google-explicit-constructor)
+  FunctionRef(F&& callable) noexcept
       : object_(const_cast<void*>(
             static_cast<const void*>(std::addressof(callable)))),
         call_(&Call<std::remove_reference_t<F>>) {}

@@ -10,8 +10,8 @@ namespace lpsgd {
 
 enum class ActivationKind { kRelu, kTanh, kSigmoid };
 
-// Elementwise activation layer (shape-preserving, no parameters). Forward
-// and Backward work in place on the tensor they are handed.
+// Elementwise activation layer (shape-preserving, no parameters). The
+// owned forms of Forward and Backward work in place.
 class ActivationLayer : public Layer {
  public:
   ActivationLayer(std::string name, ActivationKind kind);
