@@ -1,6 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -175,6 +176,47 @@ TEST(Im2ColTest, MultiChannelLayout) {
   Im2Col(image, 2, 2, 1, 0, &patches);
   const float expected[] = {1, 2, 3, 4, 10, 20, 30, 40};
   for (int i = 0; i < 8; ++i) EXPECT_FLOAT_EQ(patches.at(0, i), expected[i]);
+}
+
+TEST(Im2ColTest, BatchStacksPerSamplePatches) {
+  // A {N, C, H, W} batch gives the per-sample patch matrices stacked
+  // sample-major, and Col2Im scatters each block back onto its sample.
+  Rng rng(78);
+  const int samples = 3, channels = 2, height = 5, width = 4;
+  const int kh = 3, kw = 2, stride = 2, pad = 1;
+  const int64_t plane = int64_t{ConvOutputSize(height, kh, stride, pad)} *
+                        ConvOutputSize(width, kw, stride, pad);
+  const int64_t patch_width = int64_t{channels} * kh * kw;
+  Tensor batch(Shape({samples, channels, height, width}));
+  batch.FillGaussian(&rng, 1.0f);
+  Tensor patches(Shape({samples * plane, patch_width}));
+  Im2Col(batch, kh, kw, stride, pad, &patches);
+  Tensor patch_grad(patches.shape());
+  patch_grad.FillGaussian(&rng, 1.0f);
+  Tensor batch_grad(batch.shape());
+  Col2Im(patch_grad, kh, kw, stride, pad, &batch_grad);
+
+  const int64_t image_size = int64_t{channels} * height * width;
+  for (int s = 0; s < samples; ++s) {
+    Tensor image(Shape({channels, height, width}));
+    std::copy(batch.data() + s * image_size,
+              batch.data() + (s + 1) * image_size, image.data());
+    Tensor expected(Shape({plane, patch_width}));
+    Im2Col(image, kh, kw, stride, pad, &expected);
+    for (int64_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(patches.at(s * plane * patch_width + i), expected.at(i));
+    }
+
+    Tensor block(Shape({plane, patch_width}));
+    std::copy(patch_grad.data() + s * plane * patch_width,
+              patch_grad.data() + (s + 1) * plane * patch_width,
+              block.data());
+    Tensor image_grad(image.shape());
+    Col2Im(block, kh, kw, stride, pad, &image_grad);
+    for (int64_t i = 0; i < image_size; ++i) {
+      EXPECT_EQ(batch_grad.at(s * image_size + i), image_grad.at(i));
+    }
+  }
 }
 
 TEST(Col2ImTest, IsTransposeOfIm2Col) {
